@@ -8,8 +8,8 @@
 // with EASYCRASH_TESTS (the paper used 1000-2000; shapes stabilise far
 // earlier at the simulator's problem sizes).
 //
-// Micro-benchmarks (BenchmarkCache*, BenchmarkGolden*, BenchmarkCampaign)
-// measure the simulator itself.
+// The simulator's own speed is measured by the campaign benchmark in
+// benchmark/ (go run ./benchmark), end to end and layer by layer.
 package easycrash_test
 
 import (
@@ -24,12 +24,9 @@ import (
 	"easycrash/internal/cachesim"
 	"easycrash/internal/ckpt"
 	"easycrash/internal/core"
-	"easycrash/internal/faultmodel"
-	"easycrash/internal/mem"
 	"easycrash/internal/nvct"
 	"easycrash/internal/nvmperf"
 	"easycrash/internal/predict"
-	"easycrash/internal/sim"
 	"easycrash/internal/sysmodel"
 )
 
@@ -666,258 +663,6 @@ func BenchmarkWriteReduction(b *testing.B) {
 	})
 	b.ReportMetric(avg, "avg-write-reduction")
 	spin(b)
-}
-
-// ---------------------------------------------------------------------------
-// Micro-benchmarks of the simulator itself.
-
-func BenchmarkCacheAccess(b *testing.B) {
-	im := mem.NewImage(1 << 22)
-	h := cachesim.New(cachesim.TestConfig(), im)
-	buf := make([]byte, 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := uint64(i*64) % (1 << 21)
-		h.Store(0, a, buf)
-		h.Load(0, a, buf)
-	}
-}
-
-// BenchmarkCacheStream is the steady-state miss path campaigns live on: a
-// block-strided store stream over a working set far larger than the LLC, so
-// every access is a fill plus an eviction write-back. This path must stay
-// allocation-free.
-func BenchmarkCacheStream(b *testing.B) {
-	im := mem.NewImage(1 << 22)
-	h := cachesim.New(cachesim.TestConfig(), im)
-	buf := make([]byte, 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Store(0, uint64(i*64)%(1<<22), buf)
-	}
-}
-
-// BenchmarkCacheStreamBatched is BenchmarkCacheStream's sequential sweep on
-// the run API: the same 8-byte elements reach the same blocks in the same
-// order, but StoreRun pays one hierarchy walk per 64 B block segment and
-// bulk-accounts the other seven elements. ns/op is per element (the loop
-// advances b.N by the chunk size), directly comparable to the scalar
-// per-element benches.
-func BenchmarkCacheStreamBatched(b *testing.B) {
-	im := mem.NewImage(1 << 22)
-	h := cachesim.New(cachesim.TestConfig(), im)
-	buf := make([]byte, 4096)
-	const elems = 4096 / 8
-	var addr uint64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += elems {
-		h.StoreRun(0, addr, buf)
-		addr = (addr + 4096) % (1 << 22)
-	}
-}
-
-// BenchmarkCacheCrashRefill is the per-crash-test pattern: dirty a working
-// set, crash (DropAll), repeat. DropAll must recycle the block store, not
-// reallocate it.
-func BenchmarkCacheCrashRefill(b *testing.B) {
-	im := mem.NewImage(1 << 22)
-	h := cachesim.New(cachesim.TestConfig(), im)
-	buf := make([]byte, 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 2048; j++ {
-			h.Store(0, uint64(j*64), buf)
-		}
-		h.DropAll()
-	}
-}
-
-func BenchmarkCacheFlush(b *testing.B) {
-	im := mem.NewImage(1 << 22)
-	h := cachesim.New(cachesim.TestConfig(), im)
-	buf := make([]byte, 8)
-	for i := 0; i < 1024; i++ {
-		h.Store(0, uint64(i*64), buf)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Flush(0, 64<<10, cachesim.CLWB)
-	}
-}
-
-func BenchmarkMachineTypedAccess(b *testing.B) {
-	m := sim.NewMachine(1<<22, cachesim.TestConfig())
-	o := m.Space().AllocF64("x", 1<<15, true)
-	v := m.F64(o)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx := i & (1<<15 - 1)
-		v.Set(idx, float64(i))
-		_ = v.At(idx)
-	}
-}
-
-// BenchmarkMachineReset measures the per-test machine recycling path the
-// campaign engine uses instead of sim.NewMachine.
-func BenchmarkMachineReset(b *testing.B) {
-	m := sim.NewMachine(1<<22, cachesim.TestConfig())
-	buf := make([]byte, 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o := m.Space().AllocF64("x", 1<<12, true)
-		m.MainLoopBegin()
-		m.Hierarchy().Store(0, o.Addr, buf)
-		m.MainLoopEnd()
-		m.Reset()
-	}
-}
-
-func BenchmarkGoldenRun(b *testing.B) {
-	for _, name := range []string{"mg", "cg", "lu", "kmeans"} {
-		b.Run(name, func(b *testing.B) {
-			f, err := apps.New(name, apps.ProfileTest)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < b.N; i++ {
-				k := f()
-				m := sim.NewMachine(64<<20, cachesim.TestConfig())
-				k.Setup(m)
-				k.Init(m)
-				if _, err := k.Run(m, 0, 2*k.NominalIters()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkCampaignTest(b *testing.B) {
-	t := lab.tester(b, "lu")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t.RunCampaign(nil, nvct.CampaignOpts{Tests: 1, Seed: int64(i)})
-	}
-}
-
-// BenchmarkCampaignPrefixShared measures the speedup of the prefix-sharing
-// engine on a 200-trial faults-off campaign: one shared reference execution
-// forked at each crash point (prefix) versus re-simulating every pre-crash
-// prefix from access 0 (live). The two kernels bracket the engine's regimes:
-// lulesh's baseline restarts abort almost immediately (the paper's
-// segfault-class response), so its campaigns are nearly pure pre-crash
-// prefix and sharing wins an order of magnitude; lu's restarts recompute to
-// completion, so the per-trial recovery both engines must run caps the win
-// near 2x. See DESIGN.md.
-func BenchmarkCampaignPrefixShared(b *testing.B) {
-	for _, kernel := range []string{"lulesh", "lu"} {
-		t := lab.tester(b, kernel)
-		opts := nvct.CampaignOpts{Tests: 200, Seed: 1}
-		b.Run(kernel+"/prefix", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				t.RunCampaign(nil, opts)
-			}
-		})
-		b.Run(kernel+"/live", func(b *testing.B) {
-			lopts := opts
-			lopts.NoPrefixShare = true
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				t.RunCampaign(nil, lopts)
-			}
-		})
-	}
-}
-
-// BenchmarkCampaignBatched measures what the batched access engine is for:
-// the same 200-trial lu campaign on the default engine (kernels ride
-// streams and runs through the batched fast paths) versus the ScalarAccess
-// reference tester that forces every element down the per-access hierarchy
-// walk. The two produce byte-identical campaign reports (see
-// TestScalarAccessCampaignDigestsMatch); only the clock differs.
-func BenchmarkCampaignBatched(b *testing.B) {
-	t := lab.tester(b, "lu")
-	f, err := apps.New("lu", apps.ProfileTest)
-	if err != nil {
-		b.Fatal(err)
-	}
-	scalar, err := nvct.NewTester(f, nvct.Config{ScalarAccess: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := nvct.CampaignOpts{Tests: 200, Seed: 1}
-	b.Run("batched", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			t.RunCampaign(nil, opts)
-		}
-	})
-	b.Run("scalar", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			scalar.RunCampaign(nil, opts)
-		}
-	})
-}
-
-// BenchmarkCampaignTreeShared measures the snapshot-tree engine on the
-// campaigns the original prefix fast path had to refuse: 200-trial campaigns
-// with the full media-fault model on (tears + RBER + SECDED + scrub) under an
-// iteration persistence policy, tree-shared versus fully live. Branches
-// replay each trial's seed-drawn injections on a fork of the shared
-// reference, and recovery runs are shared between trials restarting from
-// byte-identical durable state, so the campaign cost approaches one reference
-// execution plus the distinct recoveries. See DESIGN.md.
-func BenchmarkCampaignTreeShared(b *testing.B) {
-	faults := faultmodel.Config{RBER: 2e-6, TornWrites: true, ECC: faultmodel.SECDED()}
-	for _, kernel := range []string{"lulesh", "lu"} {
-		t := lab.tester(b, kernel)
-		res := lab.workflow(b, kernel)
-		policy := nvct.IterationPolicy(res.Critical)
-		opts := nvct.CampaignOpts{Tests: 200, Seed: 1, Faults: faults, ScrubOnRestart: true}
-		b.Run(kernel+"/tree", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				t.RunCampaign(policy, opts)
-			}
-		})
-		b.Run(kernel+"/live", func(b *testing.B) {
-			lopts := opts
-			lopts.NoPrefixShare = true
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				t.RunCampaign(policy, lopts)
-			}
-		})
-	}
-}
-
-// BenchmarkMachineFork measures one copy-on-write fork of a mid-run machine
-// in the fast path's steady state: one dirtied page to copy, everything else
-// shared with the previous fork.
-func BenchmarkMachineFork(b *testing.B) {
-	m := sim.NewMachine(64<<20, cachesim.TestConfig())
-	o := m.Space().AllocF64("x", 1<<15, true)
-	v := m.F64(o)
-	m.MainLoopBegin()
-	for i := 0; i < 1<<15; i++ {
-		v.Set(i, float64(i))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v.Set(i&(1<<15-1), float64(i))
-		_ = m.Fork()
-	}
 }
 
 // BenchmarkTsSensitivity reproduces the §6 sensitivity discussion: with a

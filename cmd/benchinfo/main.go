@@ -23,19 +23,8 @@ func main() {
 		campaign = flag.Bool("campaign", false, "run crash campaigns for the critical-size and restart-overhead columns (slower)")
 		tests    = flag.Int("tests", 80, "campaign size with -campaign")
 		seed     = flag.Int64("seed", 1, "campaign seed")
-
-		compare   = flag.String("compare", "", "compare mode: diff a `go test -bench` output file ('-' for stdin) against -baseline and exit nonzero on regressions")
-		baseline  = flag.String("baseline", "BENCH_cachesim.json", "baseline JSON for -compare")
-		tolerance = flag.Float64("tolerance", 0.20, "relative ns/op regression allowed by -compare (0.20 = 20%)")
 	)
 	flag.Parse()
-
-	if *compare != "" {
-		if err := runCompare(*compare, *baseline, *tolerance); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	fmt.Printf("%-9s %-45s %7s %6s %10s %10s %10s %11s %6s\n",
 		"bench", "description", "regions", "R/W", "footprint", "cand.size", "crit.size", "extra-iters", "iters")

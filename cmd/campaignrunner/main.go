@@ -13,7 +13,8 @@
 //	     [-persist u,r] [-regions 2,3] [-every-iteration] [-frequency 2]
 //	     [-verified] [-during-persistence] [-parallel 2] [-profile bench]
 //	     [-cache paper] [-rber 1e-5] [-torn] [-ecc 1] [-ecc-detect 2] [-scrub]
-//	     [-recrash-depth 2] [-retry-budget 3] [-known known-failures.json]
+//	     [-timeout 30s] [-recrash-depth 2] [-retry-budget 3] [-trial-deadline 2m]
+//	     [-known known-failures.json]
 //	     [-max-attempts 3] [-backoff 100ms] [-backoff-cap 2s] [-hb 200ms]
 //	     [-hb-timeout 5s] [-evidence 5] [-chaos crash@0.1,hang@1.1]
 //
@@ -49,28 +50,76 @@ import (
 	_ "easycrash/internal/pmemkv"
 )
 
-func main() {
+// workerMode turns a `campaignrunner worker ...` invocation into the worker
+// process the supervisor launched; any other invocation returns.
+func workerMode() {
 	if len(os.Args) > 1 && os.Args[1] == "worker" {
 		os.Exit(campaignd.WorkerMain(os.Args[2:], os.Stdout, os.Stderr))
 	}
+}
+
+// registerSpecFlags registers the flags that describe the campaign itself (as
+// opposed to its supervision) and returns the function that, once the flag set
+// is parsed, validates them into the spec every worker loads.
+func registerSpecFlags(fs *flag.FlagSet) func() (*campaignd.Spec, error) {
+	var (
+		kernel   = fs.String("kernel", "mg", "kernel to test")
+		tests    = fs.Int("tests", 200, "crash tests in the campaign (> 0)")
+		seed     = fs.Int64("seed", 1, "campaign seed")
+		persist  = fs.String("persist", "", "comma-separated data objects to persist (empty: none)")
+		regions  = fs.String("regions", "", "comma-separated region ids to flush at (empty with -persist: every iteration end)")
+		everyIt  = fs.Bool("every-iteration", false, "also flush at iteration ends")
+		freq     = fs.Int64("frequency", 1, "persist every x iterations (>= 1)")
+		verified = fs.Bool("verified", false, "run the copy-based verified campaign variant")
+		duringP  = fs.Bool("during-persistence", false, "make persistence flushes crash-eligible")
+		parallel = fs.Int("parallel", 1, "concurrent crash tests within each worker")
+		profile  = fs.String("profile", "test", "problem size: test | bench")
+		cache    = fs.String("cache", "test", "cache geometry: test | paper")
+	)
+	faultFlags := cli.RegisterFaultFlags(fs, true)
+	nestedFlags := cli.RegisterNestedFlags(fs)
+	return func() (*campaignd.Spec, error) {
+		faults, err := faultFlags.Config()
+		if err != nil {
+			return nil, err
+		}
+		if err := nestedFlags.Validate(); err != nil {
+			return nil, err
+		}
+		policy, err := cli.BuildPolicy(*persist, *regions, *everyIt, *freq)
+		if err != nil {
+			return nil, err
+		}
+		return &campaignd.Spec{
+			Kernel:  *kernel,
+			Profile: *profile,
+			Cache:   *cache,
+			Policy:  policy,
+			Opts: nvct.CampaignOpts{
+				Tests:                  *tests,
+				Seed:                   *seed,
+				Verified:               *verified,
+				Parallel:               *parallel,
+				CrashDuringPersistence: *duringP,
+				Faults:                 faults,
+				ScrubOnRestart:         faultFlags.Scrub,
+				TestTimeout:            faultFlags.Timeout,
+				RecrashDepth:           nestedFlags.Depth,
+				RetryBudget:            nestedFlags.Budget,
+				TrialDeadline:          nestedFlags.Deadline,
+			},
+		}, nil
+	}
+}
+
+func main() {
+	workerMode()
 
 	log.SetFlags(0)
 	log.SetPrefix("campaignrunner: ")
 
+	buildSpec := registerSpecFlags(flag.CommandLine)
 	var (
-		kernel   = flag.String("kernel", "mg", "kernel to test")
-		tests    = flag.Int("tests", 200, "crash tests in the campaign (> 0)")
-		seed     = flag.Int64("seed", 1, "campaign seed")
-		persist  = flag.String("persist", "", "comma-separated data objects to persist (empty: none)")
-		regions  = flag.String("regions", "", "comma-separated region ids to flush at (empty with -persist: every iteration end)")
-		everyIt  = flag.Bool("every-iteration", false, "also flush at iteration ends")
-		freq     = flag.Int64("frequency", 1, "persist every x iterations (>= 1)")
-		verified = flag.Bool("verified", false, "run the copy-based verified campaign variant")
-		duringP  = flag.Bool("during-persistence", false, "make persistence flushes crash-eligible")
-		parallel = flag.Int("parallel", 1, "concurrent crash tests within each worker")
-		profile  = flag.String("profile", "test", "problem size: test | bench")
-		cache    = flag.String("cache", "test", "cache geometry: test | paper")
-
 		shards      = flag.Int("shards", 2, "worker shards (>= 1)")
 		runDir      = flag.String("run-dir", "", "artifact directory for this run (required)")
 		known       = flag.String("known", "", "persistent known-failure store for fingerprint dedup (empty: report every failure as new)")
@@ -82,8 +131,6 @@ func main() {
 		evidence    = flag.Int("evidence", 5, "failure classes to archive a durable dump for (-1: repro commands only)")
 		chaos       = flag.String("chaos", "", "test-only worker failure injection: mode@shard.attempt,... (modes crash|hang|garble)")
 	)
-	faultFlags := cli.RegisterFaultFlags(flag.CommandLine, true)
-	nestedFlags := cli.RegisterNestedFlags(flag.CommandLine)
 	flag.Parse()
 
 	if flag.NArg() > 0 {
@@ -92,35 +139,9 @@ func main() {
 	if *runDir == "" {
 		log.Fatal("-run-dir is required: every campaign writes its evidence somewhere")
 	}
-	faults, err := faultFlags.Config()
+	spec, err := buildSpec()
 	if err != nil {
 		log.Fatal(err)
-	}
-	if err := nestedFlags.Validate(); err != nil {
-		log.Fatal(err)
-	}
-	policy, err := cli.BuildPolicy(*persist, *regions, *everyIt, *freq)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	spec := &campaignd.Spec{
-		Kernel:  *kernel,
-		Profile: *profile,
-		Cache:   *cache,
-		Policy:  policy,
-		Opts: nvct.CampaignOpts{
-			Tests:                  *tests,
-			Seed:                   *seed,
-			Verified:               *verified,
-			Parallel:               *parallel,
-			CrashDuringPersistence: *duringP,
-			Faults:                 faults,
-			ScrubOnRestart:         faultFlags.Scrub,
-			RecrashDepth:           nestedFlags.Depth,
-			RetryBudget:            nestedFlags.Budget,
-			TrialDeadline:          nestedFlags.Deadline,
-		},
 	}
 	cfg := campaignd.Config{
 		Spec:             spec,
@@ -148,7 +169,7 @@ func main() {
 
 	rep := res.Report
 	fmt.Printf("campaign: %s, %d shards, %d/%d trials (seed %d, policy %s)\n",
-		*kernel, *shards, len(rep.Tests), rep.Requested, *seed, cli.DescribePolicy(policy, *verified))
+		spec.Kernel, *shards, len(rep.Tests), rep.Requested, spec.Opts.Seed, cli.DescribePolicy(spec.Policy, spec.Opts.Verified))
 	for _, st := range res.Shards {
 		fmt.Printf("  shard %d: %-9s %d/%d trials, %d attempt(s)", st.Shard, st.State, st.Trials, st.Expected, st.Attempts)
 		for _, f := range st.Failures {

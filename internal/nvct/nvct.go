@@ -28,11 +28,8 @@
 package nvct
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"math/rand"
-	"runtime"
 	"sync"
 	"time"
 
@@ -42,62 +39,6 @@ import (
 	"easycrash/internal/mem"
 	"easycrash/internal/sim"
 )
-
-// Outcome classifies one crash-and-restart test (Figure 3, extended).
-type Outcome int
-
-const (
-	// S1 is successful recomputation without extra iterations.
-	S1 Outcome = iota
-	// S2 is successful recomputation that needed extra iterations.
-	S2
-	// S3 is an interruption: the restarted run could not complete.
-	S3
-	// S4 is a failed acceptance verification.
-	S4
-	// SDue is a detected-uncorrectable media error: restart found the
-	// bookmark or a persisted object poisoned by the ECC model and (absent
-	// the scrub-and-fallback path) could not proceed. Beyond the paper,
-	// which assumes intact NVM.
-	SDue
-	// SErr is a campaign-engine error: the test panicked outside the
-	// simulated crash protocol or exceeded its per-test deadline. The
-	// campaign records it and continues.
-	SErr
-	// SViol is a crash-consistency violation caught by the campaign's
-	// WITCHER-style oracle: recovery completed, but the recovered state lies
-	// about acknowledged operations — an acked write lost, a key regressed
-	// to a stale value, or a never-acked value visible. Only kernels
-	// implementing apps.ConsistencyKernel (the persistent KV workload) can
-	// produce it; recomputation kernels have no acknowledgement semantics to
-	// violate.
-	SViol
-
-	// NumOutcomes is the number of outcome classes (the size of
-	// Report.Counts).
-	NumOutcomes = int(SViol) + 1
-)
-
-// String returns the paper's label for the outcome (or the extension's).
-func (o Outcome) String() string {
-	switch o {
-	case S1:
-		return "S1"
-	case S2:
-		return "S2"
-	case S3:
-		return "S3"
-	case S4:
-		return "S4"
-	case SDue:
-		return "DUE"
-	case SErr:
-		return "ERR"
-	case SViol:
-		return "VIOL"
-	}
-	return fmt.Sprintf("Outcome(%d)", int(o))
-}
 
 // Policy describes a persistence policy: which data objects to flush and
 // where. The loop-iterator bookmark is always flushed at iteration ends
@@ -233,187 +174,6 @@ type Golden struct {
 	Regions        int
 }
 
-// TestResult is one crash-and-restart test.
-type TestResult struct {
-	CrashAccess   uint64
-	CrashRegion   int
-	CrashIter     int64
-	Outcome       Outcome
-	ExtraIters    int64
-	Inconsistency map[string]float64 // per-candidate data inconsistent rate at the crash
-	// FinalResult is the restarted run's outcome scalars (nil when the run
-	// was interrupted); comparing it with the golden Result shows how far
-	// the recomputation deviated.
-	FinalResult []float64
-	// Media summarises the media faults injected at this crash (zero when
-	// the campaign runs with perfect media).
-	Media faultmodel.Injection
-	// ScrubbedObjects counts objects (including the iterator bookmark) the
-	// scrub-and-fallback restart path re-initialised because their blocks
-	// were poisoned. In a nested-failure trial it totals scrubs across all
-	// recovery attempts.
-	ScrubbedObjects int
-	// Err holds the engine error behind an SErr outcome, the named failure
-	// mode behind a budget-exhausted S3, or the workload's own detected
-	// recovery failure behind an oracle-audited S3.
-	Err string
-	// Violations lists the crash-consistency violations behind an SViol
-	// outcome, as reported by the kernel's post-recovery audit
-	// (apps.ConsistencyKernel). Empty for every other outcome.
-	Violations []string
-
-	// The remaining fields are populated only by nested-failure campaigns
-	// (CampaignOpts.RecrashDepth > 0); classic campaigns leave them zero so
-	// their reports stay byte-identical to the single-crash engine.
-
-	// Depth is the number of crashes in this trial's chain (>= 1): the
-	// initial crash plus every crash that struck a recovery attempt.
-	Depth int
-	// Retries is the number of recovery attempts the trial consumed.
-	Retries int
-	// Chain records every crash of the chain in order; Chain[0] repeats the
-	// initial crash (CrashAccess/CrashRegion/CrashIter/Media above).
-	// Accesses of re-crashes count from the start of their recovery run.
-	Chain []ChainCrash
-	// FinalInconsistency is the per-candidate data-inconsistency rate at
-	// the *final* crash of the chain — the state the successful (or failed)
-	// last recovery actually started from.
-	FinalInconsistency map[string]float64
-}
-
-// ChainCrash is one crash of a nested-failure trial's chain.
-type ChainCrash struct {
-	// Access is the demand-access index at which the crash fired, counted
-	// from the start of the run it interrupted (the initial run for the
-	// first entry, the recovery run for later ones).
-	Access uint64
-	// Region and Iter locate the crash in the kernel's main loop.
-	Region int
-	Iter   int64
-	// Media summarises the media faults injected at this power loss; faults
-	// accumulate on the image across the chain through one injector.
-	Media faultmodel.Injection
-}
-
-// Success reports whether the application recomputed (S1 or S2).
-func (r TestResult) Success() bool { return r.Outcome == S1 || r.Outcome == S2 }
-
-// Report aggregates a campaign.
-type Report struct {
-	Kernel  string
-	Policy  *Policy
-	Tests   []TestResult
-	Counts  [NumOutcomes]int // indexed by Outcome
-	Regions int
-	// Requested is the campaign size asked for; len(Tests) falls short of
-	// it only when the campaign was cancelled mid-run (partial results).
-	Requested int
-}
-
-// Recomputability is the paper's headline metric: the fraction of crashes
-// that recompute successfully without extra iterations (S1).
-func (r *Report) Recomputability() float64 {
-	if len(r.Tests) == 0 {
-		return 0
-	}
-	return float64(r.Counts[S1]) / float64(len(r.Tests))
-}
-
-// SuccessRate is the fraction of S1+S2 responses.
-func (r *Report) SuccessRate() float64 {
-	if len(r.Tests) == 0 {
-		return 0
-	}
-	return float64(r.Counts[S1]+r.Counts[S2]) / float64(len(r.Tests))
-}
-
-// AvgExtraIters is the mean number of extra iterations over successful
-// recomputations (Table 1's restart overhead).
-func (r *Report) AvgExtraIters() float64 {
-	var n, sum int64
-	for _, t := range r.Tests {
-		if t.Success() {
-			n++
-			sum += t.ExtraIters
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(sum) / float64(n)
-}
-
-// RegionRecomputability returns per-region S1 fractions (the c_k of §5.2)
-// and per-region test counts.
-func (r *Report) RegionRecomputability() (rec map[int]float64, tests map[int]int) {
-	s1 := make(map[int]int)
-	tests = make(map[int]int)
-	for _, t := range r.Tests {
-		tests[t.CrashRegion]++
-		if t.Outcome == S1 {
-			s1[t.CrashRegion]++
-		}
-	}
-	rec = make(map[int]float64, len(tests))
-	//eclint:allow campaigndet — independent per-key map fill, order-insensitive
-	for k, n := range tests {
-		rec[k] = float64(s1[k]) / float64(n)
-	}
-	return rec, tests
-}
-
-// MediaErrorCounts separates the media-fault outcomes of a campaign:
-// due counts detected-uncorrectable results (SDue), silentCaught counts
-// tests where silently corrupted blocks survived into restart but the
-// acceptance verification failed (S4), and silentMissed counts tests where
-// silent corruption passed verification (S1/S2) — the most dangerous class.
-func (r *Report) MediaErrorCounts() (due, silentCaught, silentMissed int) {
-	due = r.Counts[SDue]
-	for _, t := range r.Tests {
-		if t.Media.SilentBlocks == 0 {
-			continue
-		}
-		switch t.Outcome {
-		case S4:
-			silentCaught++
-		case S1, S2:
-			silentMissed++
-		}
-	}
-	return due, silentCaught, silentMissed
-}
-
-// ConsistencyViolations returns the number of SViol tests and the total
-// count of individual violations their audits listed.
-func (r *Report) ConsistencyViolations() (tests, listed int) {
-	tests = r.Counts[SViol]
-	for _, t := range r.Tests {
-		listed += len(t.Violations)
-	}
-	return tests, listed
-}
-
-// InconsistencyVectors extracts, for each candidate object, the paired
-// vectors (inconsistency rate, success as 0/1) across all tests — the input
-// to the Spearman analysis of §5.1.
-func (r *Report) InconsistencyVectors() map[string][2][]float64 {
-	out := make(map[string][2][]float64)
-	for _, t := range r.Tests {
-		//eclint:allow campaigndet — one append per name per test; each vector's order follows Tests order
-		for name, rate := range t.Inconsistency {
-			v := out[name]
-			v[0] = append(v[0], rate)
-			s := 0.0
-			if t.Outcome == S1 {
-				s = 1
-			}
-			v[1] = append(v[1], s)
-			out[name] = v
-		}
-	}
-	return out
-}
-
 // Tester owns the golden run for one kernel and runs crash campaigns.
 type Tester struct {
 	factory apps.Factory
@@ -436,6 +196,10 @@ type Tester struct {
 	// extent is the golden run's allocation high-water mark; campaign runs
 	// re-execute the same kernel setup, so their extent is identical.
 	extent uint64
+
+	// iterObj is the kernel's loop-iterator bookmark as the golden run's
+	// Setup registered it; object geometry is deterministic across instances.
+	iterObj mem.Object
 }
 
 // getMachine returns a pristine machine for this tester's configuration,
@@ -485,14 +249,17 @@ func (t *Tester) putDump(b []byte) {
 
 // NewTester performs the golden run and returns a ready Tester.
 func NewTester(factory apps.Factory, cfg Config) (*Tester, error) {
-	cfg = cfg.withDefaults()
-	t := &Tester{factory: factory, cfg: cfg}
-	g, name, err := t.runGolden(nil)
+	t := &Tester{factory: factory, cfg: cfg.withDefaults()}
+	g, err := t.undisturbed("golden", false, func(m *sim.Machine, k apps.Kernel) sim.Persister {
+		// Every later run of this kernel repeats the same Setup, so what it
+		// registered here is campaign-constant.
+		t.name, t.extent, t.iterObj = k.Name(), m.Space().Extent(), k.IterObject()
+		return newPolicyPersister(m, k, nil)
+	})
 	if err != nil {
 		return nil, err
 	}
 	t.golden = g
-	t.name = name
 	return t, nil
 }
 
@@ -505,27 +272,36 @@ func (t *Tester) Name() string { return t.name }
 // Config returns the effective configuration.
 func (t *Tester) Config() Config { return t.cfg }
 
-// runGolden executes one undisturbed run under the given policy (nil =
-// iterator-only) and profiles it.
-func (t *Tester) runGolden(policy *Policy) (Golden, string, error) {
+// iterBudget bounds a run at MaxIterFactor times the given iteration count.
+func (t *Tester) iterBudget(iters int64) int64 {
+	return int64(float64(iters) * t.cfg.MaxIterFactor)
+}
+
+// undisturbed executes one crash-free run and profiles it: the golden run,
+// the performance model's profile runs and the crash-eligible tick count all
+// run this body. makePersister is invoked after kernel setup and
+// initialisation, so it may allocate extra objects on the machine; flushTicks
+// makes flushed blocks advance the crash clock, so MainAccesses counts demand
+// accesses plus flush work. Every undisturbed run must verify against its own
+// result — a kernel that does not is unusable as a crash-test reference.
+func (t *Tester) undisturbed(what string, flushTicks bool, makePersister func(*sim.Machine, apps.Kernel) sim.Persister) (Golden, error) {
 	k := t.factory()
 	m := t.getMachine()
 	defer t.putMachine(m)
 	k.Setup(m)
 	k.Init(m)
-	m.SetPersister(newPolicyPersister(m, k, policy))
+	m.SetFlushCrashEligible(flushTicks)
+	m.SetPersister(makePersister(m, k))
 	m.Image().ResetWriteCounters()
-	budget := int64(float64(k.NominalIters()) * t.cfg.MaxIterFactor)
-	executed, err := k.Run(m, 0, budget)
+	executed, err := k.Run(m, 0, t.iterBudget(k.NominalIters()))
 	if err != nil {
-		return Golden{}, "", fmt.Errorf("nvct: golden run of %s failed: %w", k.Name(), err)
+		return Golden{}, fmt.Errorf("nvct: %s run of %s failed: %w", what, k.Name(), err)
 	}
 	res := k.Result(m)
 	if !k.Verify(m, res) {
-		return Golden{}, "", fmt.Errorf("nvct: golden run of %s does not verify against itself", k.Name())
+		return Golden{}, fmt.Errorf("nvct: %s run of %s does not verify against itself", what, k.Name())
 	}
-	t.extent = m.Space().Extent()
-	g := Golden{
+	return Golden{
 		Iters:          executed,
 		MainAccesses:   m.MainAccesses(),
 		RegionAccesses: m.RegionAccesses(),
@@ -537,16 +313,21 @@ func (t *Tester) runGolden(policy *Policy) (Golden, string, error) {
 		CandidateBytes: m.Space().CandidateFootprint(),
 		Candidates:     m.Space().Candidates(),
 		Regions:        k.RegionCount(),
-	}
-	return g, k.Name(), nil
+	}, nil
+}
+
+// policyRun is undisturbed under a persistence policy (nil = iterator-only).
+func (t *Tester) policyRun(what string, flushTicks bool, policy *Policy) (Golden, error) {
+	return t.undisturbed(what, flushTicks, func(m *sim.Machine, k apps.Kernel) sim.Persister {
+		return newPolicyPersister(m, k, policy)
+	})
 }
 
 // ProfileRun executes one undisturbed run under the given policy and
 // returns its profile (used by the performance model: persistence counts,
 // cache traffic, NVM writes).
 func (t *Tester) ProfileRun(policy *Policy) (Golden, error) {
-	g, _, err := t.runGolden(policy)
-	return g, err
+	return t.policyRun("profile", false, policy)
 }
 
 // ProfileRunWith executes one undisturbed run with a caller-built persister
@@ -554,31 +335,7 @@ func (t *Tester) ProfileRun(policy *Policy) (Golden, error) {
 // invoked after kernel setup and initialisation, so it may allocate extra
 // objects (checkpoint shadow space) on the machine.
 func (t *Tester) ProfileRunWith(makePersister func(m *sim.Machine, k apps.Kernel) sim.Persister) (Golden, error) {
-	k := t.factory()
-	m := t.getMachine()
-	defer t.putMachine(m)
-	k.Setup(m)
-	k.Init(m)
-	m.SetPersister(makePersister(m, k))
-	m.Image().ResetWriteCounters()
-	budget := int64(float64(k.NominalIters()) * t.cfg.MaxIterFactor)
-	executed, err := k.Run(m, 0, budget)
-	if err != nil {
-		return Golden{}, fmt.Errorf("nvct: profile run of %s failed: %w", k.Name(), err)
-	}
-	return Golden{
-		Iters:          executed,
-		MainAccesses:   m.MainAccesses(),
-		RegionAccesses: m.RegionAccesses(),
-		Result:         k.Result(m),
-		CacheStats:     m.Hierarchy().Stats(),
-		PersistStats:   m.PersistStats(),
-		NVMWrites:      m.Image().BlockWrites(),
-		Footprint:      m.Space().Footprint(),
-		CandidateBytes: m.Space().CandidateFootprint(),
-		Candidates:     m.Space().Candidates(),
-		Regions:        k.RegionCount(),
-	}, nil
+	return t.undisturbed("profile", false, makePersister)
 }
 
 // CampaignOpts configures one crash-test campaign.
@@ -611,8 +368,10 @@ type CampaignOpts struct {
 	// redone iterations as extra).
 	ScrubOnRestart bool
 	// TestTimeout bounds each crash test (both phases); a test exceeding
-	// it is recorded as an SErr result and the campaign continues. 0 means
-	// no per-test deadline.
+	// it is recorded as an SErr result and the campaign continues. On the
+	// snapshot tree the clock bounds each shared recovery leg; a leg that
+	// outlives it hands its trials to the live path, which times each test
+	// on its own. 0 means no per-test deadline.
 	TestTimeout time.Duration
 	// RecrashDepth enables the nested-failure model: up to RecrashDepth
 	// additional crashes may fire during recovery, so one trial becomes a
@@ -626,18 +385,10 @@ type CampaignOpts struct {
 	// budget is spent is classified S3 with ErrRetryBudgetExhausted
 	// recorded. 0 means RecrashDepth+1 — enough to finish any chain.
 	RetryBudget int
-	// TrialDeadline bounds one trial's whole crash chain (all phases); a
-	// trial exceeding it is recorded as SErr with ErrTrialDeadline and the
-	// campaign continues. 0 means no trial deadline.
+	// TrialDeadline bounds one trial's whole crash chain (all phases, timed
+	// like TestTimeout); a trial exceeding it is recorded as SErr with
+	// ErrTrialDeadline and the campaign continues. 0 means no trial deadline.
 	TrialDeadline time.Duration
-	// NoPrefixShare disables the prefix-sharing fast path, forcing every
-	// test to re-execute its pre-crash prefix live (the historical engine).
-	// The fast path simulates the shared prefix once on a reference machine
-	// and forks at each crash point; it produces byte-identical reports, so
-	// this switch exists for benchmarking and differential testing, not for
-	// correctness. Campaigns with media faults or per-test/per-trial
-	// deadlines always run live regardless.
-	NoPrefixShare bool
 }
 
 // errTestTimeout marks a per-test deadline abort so it can be told apart
@@ -661,790 +412,3 @@ var ErrTrialDeadline = errors.New("nvct: trial deadline exceeded")
 // crash-eligible tick profile measured zero ticks), so no crash point can be
 // drawn. Test with errors.Is.
 var ErrEmptyCrashSpace = errors.New("nvct: empty crash-point space (main loop issued no crash-eligible accesses)")
-
-// RunCampaign runs a crash-test campaign under the given persistence policy
-// (nil = baseline iterator-only). It is RunCampaignContext without
-// cancellation; setup errors (an invalid fault configuration, a failed
-// tick-profile run) panic, as they are programming errors at this call site.
-func (t *Tester) RunCampaign(policy *Policy, opts CampaignOpts) *Report {
-	rep, err := t.RunCampaignContext(context.Background(), policy, opts)
-	if err != nil {
-		panic(fmt.Errorf("nvct: campaign setup failed: %w", err))
-	}
-	return rep
-}
-
-// RunCampaignContext runs a crash-test campaign under the given persistence
-// policy (nil = baseline iterator-only), honouring ctx: when ctx is
-// cancelled mid-run, in-flight tests abort promptly, the partial report of
-// completed tests is returned alongside ctx's error, and no goroutines are
-// leaked. A non-cancellation error (invalid fault configuration, failed
-// tick-profile run) returns a nil report.
-func (t *Tester) RunCampaignContext(ctx context.Context, policy *Policy, opts CampaignOpts) (*Report, error) {
-	plan, err := t.planCampaign(policy, &opts)
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{
-		Kernel:    t.name,
-		Policy:    policy,
-		Regions:   t.golden.Regions,
-		Tests:     make([]TestResult, opts.Tests),
-		Requested: opts.Tests,
-	}
-	done := make([]bool, opts.Tests)
-	t.runPlanned(ctx, policy, plan.points, plan.seedAt, plan.trialSeedAt, plan.space, opts, rep, done, nil)
-
-	// Compact to the completed tests (a no-op unless cancelled early).
-	kept := rep.Tests[:0]
-	for i := range rep.Tests {
-		if done[i] {
-			kept = append(kept, rep.Tests[i])
-		}
-	}
-	rep.Tests = kept
-	for _, res := range rep.Tests {
-		rep.Counts[res.Outcome]++
-	}
-	return rep, ctx.Err()
-}
-
-// runPlanned executes the planned trials described by points/seedAt/
-// trialSeedAt (index-aligned slices of one campaign plan, or a remapped
-// subset of one — see RunShardContext), filling rep.Tests[i] and done[i] in
-// place. It owns engine selection: the snapshot-tree fast path when eligible,
-// the live engine otherwise (and as per-trial fallback after a reference-run
-// failure). onDone, when non-nil, is invoked with the local trial index after
-// each trial's record lands; it is called from worker goroutines, so the
-// callback must be safe for concurrent use.
-func (t *Tester) runPlanned(ctx context.Context, policy *Policy, points []uint64, seedAt, trialSeedAt func(int) int64, space uint64, opts CampaignOpts, rep *Report, done []bool, onDone func(int)) {
-	workers := opts.Parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(points) {
-		workers = len(points)
-	}
-	runIdx := func(i int) {
-		res, keep := t.runOneIsolated(ctx, policy, points[i], seedAt(i), trialSeedAt(i), space, opts, nil)
-		if keep {
-			rep.Tests[i] = res
-			done[i] = true
-			if onDone != nil {
-				onDone(i)
-			}
-		}
-	}
-	// runLive runs every not-yet-done trial on the live engine. Skipping
-	// done[i] makes it double as the fallback after a failed shared run:
-	// trials the tree engine already finished stay finished.
-	runLive := func() {
-		if workers == 1 {
-			for i := range points {
-				if ctx.Err() != nil {
-					break
-				}
-				if done[i] {
-					continue
-				}
-				runIdx(i)
-			}
-			return
-		}
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					runIdx(i)
-				}
-			}()
-		}
-	feed:
-		for i := range points {
-			if done[i] {
-				continue
-			}
-			select {
-			case next <- i:
-			case <-ctx.Done():
-				break feed
-			}
-		}
-		close(next)
-		wg.Wait()
-	}
-
-	// Snapshot-tree sharing simulates the shared pre-crash prefix once and
-	// forks at each crash point instead of re-executing it per test; trials
-	// whose recoveries restart from identical durable state then share forked
-	// recovery runs round by round. Media-fault campaigns share too: the
-	// reference run records writes without injecting, and each branch replays
-	// its trial's seed-drawn injections on the fork. The engine stands down
-	// only when the per-test/per-trial watchdogs are set — they bound each
-	// test's own execution, which a shared reference run has no analogue for.
-	if !opts.NoPrefixShare && opts.TestTimeout == 0 && opts.TrialDeadline == 0 {
-		if !t.runTreeShared(ctx, policy, points, seedAt, trialSeedAt, space, opts, workers, rep, done, onDone) {
-			// The reference run failed outside the simulated-crash protocol
-			// (a panicking kernel, an engine bug). Trials that already
-			// branched off the shared prefix are complete and correct — their
-			// forks precede the failure — so only the undone remainder
-			// re-runs on the live engine, which isolates such failures per
-			// test.
-			runLive()
-		}
-	} else {
-		runLive()
-	}
-}
-
-// campaignPlan is the serially drawn, seed-derived state of one campaign:
-// the crash-point space and the per-test crash points, fault seeds and trial
-// seeds. RunCampaignContext and ReproTrial derive it through the same code,
-// so a repro re-runs exactly the trial the campaign ran.
-type campaignPlan struct {
-	space      uint64
-	points     []uint64
-	faultSeeds []int64
-	trialSeeds []int64
-}
-
-func (p *campaignPlan) seedAt(i int) int64 {
-	if p.faultSeeds == nil {
-		return 0
-	}
-	return p.faultSeeds[i]
-}
-
-func (p *campaignPlan) trialSeedAt(i int) int64 {
-	if p.trialSeeds == nil {
-		return 0
-	}
-	return p.trialSeeds[i]
-}
-
-// planCampaign validates opts (applying the default campaign size in place)
-// and draws the campaign's plan from its seed.
-func (t *Tester) planCampaign(policy *Policy, opts *CampaignOpts) (campaignPlan, error) {
-	if err := opts.Faults.Validate(); err != nil {
-		return campaignPlan{}, err
-	}
-	if opts.RecrashDepth < 0 {
-		return campaignPlan{}, fmt.Errorf("nvct: negative re-crash depth %d", opts.RecrashDepth)
-	}
-	if opts.RetryBudget < 0 {
-		return campaignPlan{}, fmt.Errorf("nvct: negative retry budget %d", opts.RetryBudget)
-	}
-	if opts.TrialDeadline < 0 {
-		return campaignPlan{}, fmt.Errorf("nvct: negative trial deadline %v", opts.TrialDeadline)
-	}
-	if opts.Tests <= 0 {
-		opts.Tests = 100
-	}
-
-	// Crash points are drawn serially so the campaign is reproducible
-	// independent of scheduling. With crash-eligible persistence the tick
-	// space includes the policy's flush work, measured by one profile run;
-	// a failing profile run must not silently skew the crash-point
-	// distribution back to demand-only ticks, so it fails the campaign.
-	space := t.golden.MainAccesses
-	if opts.CrashDuringPersistence {
-		g, err := t.profileTicks(policy)
-		if err != nil {
-			return campaignPlan{}, fmt.Errorf("nvct: profiling crash-eligible tick space: %w", err)
-		}
-		if g > 0 {
-			space = g
-		}
-	}
-	if space == 0 {
-		// rand.Int63n(0) would panic; surface a diagnosable campaign error.
-		return campaignPlan{}, fmt.Errorf("%w (kernel %s)", ErrEmptyCrashSpace, t.name)
-	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	plan := campaignPlan{space: space, points: make([]uint64, opts.Tests)}
-	for i := range plan.points {
-		plan.points[i] = 1 + uint64(rng.Int63n(int64(space)))
-	}
-	// Per-test fault seeds are drawn serially after the crash points, so a
-	// fault campaign is deterministic across Parallel settings and a
-	// zero-fault campaign draws exactly the sequence it always did.
-	if opts.Faults.Enabled() {
-		plan.faultSeeds = make([]int64, opts.Tests)
-		for i := range plan.faultSeeds {
-			plan.faultSeeds[i] = rng.Int63()
-		}
-	}
-	// Per-trial seeds drive the crash points of every deeper level of a
-	// nested-failure chain. They are drawn serially after the fault seeds,
-	// so nested campaigns are deterministic across Parallel settings and a
-	// depth-0 campaign draws exactly the sequence it always did.
-	if opts.RecrashDepth > 0 {
-		plan.trialSeeds = make([]int64, opts.Tests)
-		for i := range plan.trialSeeds {
-			plan.trialSeeds[i] = rng.Int63()
-		}
-	}
-	return plan, nil
-}
-
-// ReproTrial re-derives the campaign plan for (policy, opts) and re-runs the
-// single trial at the given index on the live engine, returning its result —
-// the postmortem a campaign line like "test 17: VIOL" calls for. The result
-// is byte-identical to Tests[index] of the full campaign with the same
-// options: trials are independent and both engines produce identical records.
-// The error is ctx.Err() when the trial was cancelled mid-run.
-func (t *Tester) ReproTrial(ctx context.Context, policy *Policy, opts CampaignOpts, index int) (TestResult, error) {
-	plan, err := t.planCampaign(policy, &opts)
-	if err != nil {
-		return TestResult{}, err
-	}
-	if index < 0 || index >= opts.Tests {
-		return TestResult{}, fmt.Errorf("nvct: trial index %d outside campaign of %d tests", index, opts.Tests)
-	}
-	res, keep := t.runOneIsolated(ctx, policy, plan.points[index], plan.seedAt(index), plan.trialSeedAt(index), plan.space, opts, nil)
-	if !keep {
-		if err := ctx.Err(); err != nil {
-			return TestResult{}, err
-		}
-		return TestResult{}, errors.New("nvct: trial discarded without cancellation")
-	}
-	return res, nil
-}
-
-// ReproTrialDump is ReproTrial plus evidence: alongside the trial's record it
-// returns a copy of the post-crash durable dump the first recovery attempt
-// read — the NVM image as the failing media left it, which an artifact bundle
-// archives next to the repro command. The dump is nil when the trial's drawn
-// crash point exceeded the run's accesses (no crash ever fired).
-func (t *Tester) ReproTrialDump(ctx context.Context, policy *Policy, opts CampaignOpts, index int) (TestResult, []byte, error) {
-	plan, err := t.planCampaign(policy, &opts)
-	if err != nil {
-		return TestResult{}, nil, err
-	}
-	if index < 0 || index >= opts.Tests {
-		return TestResult{}, nil, fmt.Errorf("nvct: trial index %d outside campaign of %d tests", index, opts.Tests)
-	}
-	var dump []byte
-	res, keep := t.runOneIsolated(ctx, policy, plan.points[index], plan.seedAt(index), plan.trialSeedAt(index), plan.space, opts, &dump)
-	if !keep {
-		if err := ctx.Err(); err != nil {
-			return TestResult{}, nil, err
-		}
-		return TestResult{}, nil, errors.New("nvct: trial discarded without cancellation")
-	}
-	return res, dump, nil
-}
-
-// runOneIsolated runs one crash test (a whole crash chain in nested mode),
-// containing any panic that escapes the simulated crash protocol: a
-// panicking kernel factory or a test that blows its deadline becomes one
-// SErr result instead of killing the worker pool. keep is false only when
-// the campaign context itself was cancelled — the half-finished test is then
-// discarded from the partial report. dumpCapture, when non-nil, receives a
-// copy of the first crash's durable dump (ReproTrialDump's evidence).
-func (t *Tester) runOneIsolated(ctx context.Context, policy *Policy, crashAt uint64, faultSeed, trialSeed int64, space uint64, opts CampaignOpts, dumpCapture *[]byte) (res TestResult, keep bool) {
-	var deadline time.Time
-	deadlineErr := errTestTimeout
-	if opts.TestTimeout > 0 {
-		//eclint:allow campaigndet — operator watchdog for runaway tests, not part of replayed state
-		deadline = time.Now().Add(opts.TestTimeout)
-	}
-	if opts.TrialDeadline > 0 {
-		//eclint:allow campaigndet — wall-clock bound on a trial's crash chain, not part of replayed state
-		if d := time.Now().Add(opts.TrialDeadline); deadline.IsZero() || d.Before(deadline) {
-			deadline, deadlineErr = d, ErrTrialDeadline
-		}
-	}
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		if a, ok := r.(*sim.Abort); ok &&
-			!errors.Is(a.Err, errTestTimeout) && !errors.Is(a.Err, ErrTrialDeadline) {
-			// Campaign cancellation, not a per-test failure.
-			res, keep = TestResult{}, false
-			return
-		}
-		res = TestResult{
-			CrashAccess: crashAt,
-			CrashRegion: sim.NoRegion,
-			Outcome:     SErr,
-			Err:         fmt.Sprint(r),
-		}
-		keep = true
-	}()
-	if opts.RecrashDepth > 0 {
-		return t.runTrial(ctx, policy, crashAt, faultSeed, trialSeed, space, opts, deadline, deadlineErr, dumpCapture), true
-	}
-	return t.runOne(ctx, policy, crashAt, faultSeed, opts, deadline, deadlineErr, dumpCapture), true
-}
-
-// captureDump copies a phase-1 dump into a ReproTrialDump caller's evidence
-// buffer; a no-op in campaign runs (capture == nil).
-func captureDump(capture *[]byte, dump []byte) {
-	if capture != nil {
-		*capture = append([]byte(nil), dump...)
-	}
-}
-
-// setInterrupt wires campaign cancellation and the per-test (or per-trial)
-// deadline into a machine's interrupt check; deadlineErr is the named error
-// delivered when the deadline passes. It installs nothing when neither
-// applies, so the default path stays hook-free.
-func setInterrupt(ctx context.Context, m *sim.Machine, deadline time.Time, deadlineErr error) {
-	if ctx.Done() == nil && deadline.IsZero() {
-		return
-	}
-	m.SetInterrupt(0, func() error {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		default:
-		}
-		//eclint:allow campaigndet — deadline check for the same operator watchdog
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return deadlineErr
-		}
-		return nil
-	})
-}
-
-// profileTicks measures the policy's total crash-eligible ticks (demand
-// accesses plus flushed blocks) with one undisturbed run.
-func (t *Tester) profileTicks(policy *Policy) (uint64, error) {
-	k := t.factory()
-	m := t.getMachine()
-	defer t.putMachine(m)
-	k.Setup(m)
-	k.Init(m)
-	m.SetFlushCrashEligible(true)
-	m.SetPersister(newPolicyPersister(m, k, policy))
-	budget := int64(float64(k.NominalIters()) * t.cfg.MaxIterFactor)
-	if _, err := k.Run(m, 0, budget); err != nil {
-		return 0, err
-	}
-	return m.MainAccesses(), nil
-}
-
-// phase1State carries the postmortem of a fired crash into the recovery
-// phase(s): the durable dump as the failing media left it, the poisoned
-// block set, the crash itself, and the injector — owned by the whole trial,
-// so media faults accumulate across the crashes of a nested chain.
-type phase1State struct {
-	crash  *sim.Crash
-	inc    map[string]float64
-	media  faultmodel.Injection
-	dump   []byte
-	poison map[uint64]struct{}
-	inj    *faultmodel.Injector
-	// journal is the kernel's acknowledged-operations journal snapshot,
-	// taken while the crashed instance's volatile state was still intact;
-	// nil for kernels without consistency semantics. The recovery phase
-	// audits the restarted state against it.
-	journal apps.AckJournal
-}
-
-// runPhase1 runs the initial life of a crash test until the armed crash
-// fires, then takes the postmortem. When the crash point exceeded the run's
-// accesses (cannot happen when the policy does not change demand traffic),
-// it returns the completed test as an S1 result instead.
-func (t *Tester) runPhase1(ctx context.Context, policy *Policy, crashAt uint64, faultSeed int64, opts CampaignOpts, deadline time.Time, deadlineErr error) (phase1State, *TestResult) {
-	k := t.factory()
-	m := t.getMachine()
-	k.Setup(m)
-	k.Init(m)
-	if opts.CrashDuringPersistence {
-		m.SetFlushCrashEligible(true)
-	}
-	var inj *faultmodel.Injector
-	if opts.Faults.Enabled() {
-		inj = faultmodel.New(opts.Faults, faultSeed)
-		m.AttachFaults(inj)
-	}
-	m.SetPersister(newPolicyPersister(m, k, policy))
-	m.SetCrashAfter(crashAt)
-	setInterrupt(ctx, m, deadline, deadlineErr)
-
-	crash := t.runToCrash(k, m)
-	if crash == nil {
-		t.putMachine(m)
-		return phase1State{}, &TestResult{CrashAccess: crashAt, CrashRegion: sim.NoRegion, Outcome: S1}
-	}
-	// The crash unwound the kernel's stack but its Go-side state is intact:
-	// snapshot the ack journal now, before the machine is recycled.
-	var journal apps.AckJournal
-	if ck, ok := k.(apps.ConsistencyKernel); ok {
-		journal = ck.Journal()
-	}
-
-	// Postmortem: per-candidate inconsistency, then the durable dump. The
-	// media-fault layer mutates the image before the dump is taken — what
-	// restart sees is the image as the failing media left it.
-	inc := make(map[string]float64, len(t.golden.Candidates))
-	for _, o := range t.golden.Candidates {
-		inc[o.Name] = m.InconsistencyRate(o)
-	}
-	if opts.Verified {
-		m.Hierarchy().WriteBackAll()
-	}
-	var media faultmodel.Injection
-	var poison map[uint64]struct{}
-	if inj != nil {
-		media = m.CrashWithFaults()
-		poison = poisonSet(media, m)
-	} else {
-		m.CrashNow()
-	}
-	dump := t.takeDump(m)
-	// Phase 1 is done with the machine; the restart phase (usually on the
-	// same worker) picks it straight back up from the pool.
-	t.putMachine(m)
-	return phase1State{crash: crash, inc: inc, media: media, dump: dump, poison: poison, inj: inj, journal: journal}, nil
-}
-
-// poisonSet collects the image's detected-uncorrectable blocks after an
-// injection, as the lookup the restart path probes objects against.
-func poisonSet(media faultmodel.Injection, m *sim.Machine) map[uint64]struct{} {
-	if media.PoisonedBlocks == 0 {
-		return nil
-	}
-	poison := make(map[uint64]struct{}, media.PoisonedBlocks)
-	for _, b := range m.Image().PoisonedBlocks() {
-		poison[b] = struct{}{}
-	}
-	return poison
-}
-
-// runOne executes a single crash-and-restart test (the classic single-crash
-// model; nested chains run through runTrial).
-func (t *Tester) runOne(ctx context.Context, policy *Policy, crashAt uint64, faultSeed int64, opts CampaignOpts, deadline time.Time, deadlineErr error, dumpCapture *[]byte) TestResult {
-	ps, completed := t.runPhase1(ctx, policy, crashAt, faultSeed, opts, deadline, deadlineErr)
-	if completed != nil {
-		return *completed
-	}
-	captureDump(dumpCapture, ps.dump)
-	return t.finishOne(ctx, ps, opts, deadline, deadlineErr)
-}
-
-// finishOne classifies a classic single-crash test from its phase-1 state:
-// one restart from the dump, no re-crash armed. It consumes ps.dump. Both the
-// live engine (after runPhase1) and the prefix-sharing fast path (after a
-// fork postmortem) finish tests here, so the two paths cannot drift apart.
-func (t *Tester) finishOne(ctx context.Context, ps phase1State, opts CampaignOpts, deadline time.Time, deadlineErr error) TestResult {
-	res := TestResult{
-		CrashAccess:   ps.crash.Access,
-		CrashRegion:   ps.crash.Region,
-		CrashIter:     ps.crash.Iter,
-		Inconsistency: ps.inc,
-		Media:         ps.media,
-	}
-
-	// Phase 2: restart from the dump.
-	st := t.restartOnce(ctx, ps.dump, ps.poison, ps.crash.Iter, ps.journal, opts.ScrubOnRestart, deadline, deadlineErr, 0, nil, false)
-	t.putDump(ps.dump)
-	applyClassicAttempt(&res, st)
-	return res
-}
-
-// applyClassicAttempt folds the single recovery attempt of a classic
-// (depth-0) trial into its record. Shared by finishOne and the snapshot-tree
-// engine so the classic classification cannot drift between paths.
-func applyClassicAttempt(res *TestResult, st attemptResult) {
-	res.Outcome = st.outcome
-	res.ExtraIters = st.extra
-	res.FinalResult = st.final
-	res.ScrubbedObjects = st.scrubbed
-	res.Violations = st.violations
-	if st.detected != "" {
-		res.Err = st.detected
-	}
-}
-
-// runToCrash runs the kernel main loop, returning the crash that fired, or
-// nil if the run completed.
-func (t *Tester) runToCrash(k apps.Kernel, m *sim.Machine) (crash *sim.Crash) {
-	defer func() {
-		if r := recover(); r != nil {
-			c, ok := r.(*sim.Crash)
-			if !ok {
-				panic(r)
-			}
-			crash = c
-		}
-	}()
-	budget := int64(float64(t.golden.Iters) * t.cfg.MaxIterFactor)
-	_, _ = k.Run(m, 0, budget)
-	return nil
-}
-
-// attemptResult is the outcome of one recovery attempt. Either the attempt
-// reached a terminal classification (crash == nil: outcome, extra, final,
-// executed are valid) or an armed re-crash fired mid-recomputation (crash
-// != nil: media, dump, poison and inc describe the new power-loss state the
-// next attempt must restart from).
-type attemptResult struct {
-	outcome  Outcome
-	extra    int64
-	final    []float64
-	executed int64
-	scrubbed int
-	from     int64 // iteration the attempt resumed at
-	// violations carries the oracle audit's findings behind an SViol
-	// outcome; detected carries the workload's own loudly-reported recovery
-	// failure behind an S3.
-	violations []string
-	detected   string
-
-	crash  *sim.Crash
-	media  faultmodel.Injection
-	dump   []byte
-	poison map[uint64]struct{}
-	inc    map[string]float64
-	// journal is the ack journal the *next* attempt must audit against when
-	// the recovery crashed again: the merged acknowledgements of every life
-	// so far. nil once a scrub discarded state on purpose — the engine knows
-	// what it threw away, so later audits would report engine policy, not
-	// workload lies.
-	journal apps.AckJournal
-}
-
-// restartOnce re-initialises the application, reloads persisted objects from
-// the dump (Figure 2b), resumes the main loop at the bookmarked iteration,
-// and classifies the outcome. poison carries the detected-uncorrectable
-// blocks of the crashed image: touching one aborts the restart with SDue
-// unless the scrub-and-fallback path is enabled, in which case the poisoned
-// object is re-initialised instead of restored (and a poisoned bookmark
-// falls back to iteration 0, counting the redone iterations as extra).
-//
-// arm > 0 arms a crash at the arm-th demand access of the recovery run (the
-// nested-failure model); inj, when non-nil, is re-attached so the re-crash
-// composes with the media-fault layer and faults accumulate across the
-// chain. verified applies the copy-based verification drain before a
-// re-crash dump, mirroring phase 1.
-//
-// journal, when non-nil, is the acknowledged-operations journal of the
-// crashed life (merged across a chain's lives); the recovered state is
-// audited against it right after the kernel's own recovery, before the main
-// loop resumes. A detected recovery failure classifies S3 (the workload
-// failed loudly, correctly); a silent violation classifies SViol. The audit
-// is skipped after a scrub — re-initialising poisoned objects discards state
-// deliberately and accountably (ScrubbedObjects), which is not a lie.
-func (t *Tester) restartOnce(ctx context.Context, dump []byte, poison map[uint64]struct{}, crashIter int64, journal apps.AckJournal, scrub bool, deadline time.Time, deadlineErr error, arm uint64, inj *faultmodel.Injector, verified bool) attemptResult {
-	k := t.factory()
-	m := t.getMachine()
-	defer t.putMachine(m)
-	rs, early := t.restartSetup(ctx, k, m, dump, poison, journal, scrub, deadline, deadlineErr)
-	if early != nil {
-		return *early
-	}
-	if arm > 0 {
-		// Re-arm after the restore/scrub phase: the crash clock counts
-		// demand accesses of the recomputation only, and restore-phase
-		// write-backs are settled, not in flight.
-		if inj != nil {
-			m.AttachFaults(inj)
-		}
-		m.RearmCrash(arm)
-	}
-
-	budget := int64(float64(t.golden.Iters) * t.cfg.MaxIterFactor)
-	executed, crash, err, interrupted := t.runRecovery(k, m, rs.from, budget, arm > 0)
-	if crash != nil {
-		// The recovery itself lost power: take the same postmortem phase 1
-		// takes, and hand the next attempt the new durable state.
-		res := attemptResult{scrubbed: rs.scrubbed, from: rs.from, crash: crash}
-		if ck, ok := k.(apps.ConsistencyKernel); ok && rs.journal != nil {
-			// This life acknowledged more operations before dying; the next
-			// attempt's audit must honour the union of every life's acks.
-			res.journal = rs.journal.Merge(ck.Journal())
-		}
-		res.inc = make(map[string]float64, len(t.golden.Candidates))
-		for _, o := range t.golden.Candidates {
-			res.inc[o.Name] = m.InconsistencyRate(o)
-		}
-		if verified {
-			m.Hierarchy().WriteBackAll()
-		}
-		if inj != nil {
-			res.media = m.CrashWithFaults()
-			res.poison = poisonSet(res.media, m)
-		} else {
-			m.CrashNow()
-		}
-		res.dump = t.takeDump(m)
-		return res
-	}
-	if interrupted || err != nil {
-		return attemptResult{outcome: S3, scrubbed: rs.scrubbed, from: rs.from}
-	}
-	final := k.Result(m)
-	verifyOK := k.Verify(m, t.golden.Result)
-	return terminalAttempt(t.golden.Iters, rs, executed, final, verifyOK, crashIter)
-}
-
-// restartState is the outcome of a successful restart setup: the application
-// re-initialised, persisted objects restored from the dump, bookmark read (or
-// scrubbed) and the oracle audit passed. The recovery's main loop is ready to
-// resume at from.
-type restartState struct {
-	from         int64
-	scrubbed     int
-	bookmarkLost bool
-	// journal is the post-setup audit baseline: nil after a scrub discarded
-	// state on purpose, otherwise the journal the next life must honour.
-	journal apps.AckJournal
-}
-
-// restartSetup performs the pre-run phase of one recovery attempt on the
-// given kernel and machine: Setup, bookmark read from the dump, Init, restore
-// of unpoisoned candidates (scrub-and-fallback when enabled), PostRestart,
-// and the crash-consistency audit. A non-nil attemptResult is an early
-// terminal classification (SDue, corrupted-bookmark S3, detected-recovery-
-// failure S3, SViol) and the machine must not run. Both the live engine
-// (restartOnce) and the snapshot-tree engine (which shares one restart among
-// every trial whose durable state fingerprints identically) set up through
-// this one function, so the two cannot drift.
-func (t *Tester) restartSetup(ctx context.Context, k apps.Kernel, m *sim.Machine, dump []byte, poison map[uint64]struct{}, journal apps.AckJournal, scrub bool, deadline time.Time, deadlineErr error) (restartState, *attemptResult) {
-	k.Setup(m)
-	setInterrupt(ctx, m, deadline, deadlineErr)
-
-	// Read the bookmarked iteration from the dump — unless its blocks are
-	// poisoned, in which case the durable bookmark is unreadable.
-	itObj := k.IterObject()
-	scrubbed := 0
-	from := int64(0)
-	bookmarkLost := overlapsPoison(itObj, poison)
-	if bookmarkLost {
-		if !scrub {
-			return restartState{}, &attemptResult{outcome: SDue}
-		}
-		scrubbed++ // fall back to iteration 0
-	} else {
-		from = int64(leUint64(dump[itObj.Addr : itObj.Addr+8]))
-		if from < 0 || from > t.golden.Iters {
-			// A corrupted bookmark: the restarted process would index past
-			// its data — the segfault case.
-			return restartState{}, &attemptResult{outcome: S3}
-		}
-	}
-
-	k.Init(m)
-	for _, o := range m.Space().Candidates() {
-		if overlapsPoison(o, poison) {
-			if !scrub {
-				return restartState{}, &attemptResult{outcome: SDue, scrubbed: scrubbed, from: from}
-			}
-			scrubbed++ // keep the freshly initialised values
-			continue
-		}
-		m.RestoreObject(o, dump[o.Addr:o.End()])
-	}
-	m.I64(itObj).Set(0, from)
-	if r, ok := k.(Restarter); ok {
-		r.PostRestart(m, from)
-	}
-	if scrubbed > 0 {
-		// The scrub path re-initialised objects on purpose; what it discarded
-		// is accounted for, not lied about. Later lives of this trial skip the
-		// audit too — their baseline was knowingly thrown away.
-		journal = nil
-	}
-	if ck, ok := k.(apps.ConsistencyKernel); ok && journal != nil {
-		a := ck.Audit(m, journal)
-		if a.Detected != nil {
-			// The workload's own recovery found the durable state unreadable
-			// and refused to serve: a loud failure, classified as the
-			// interruption it is — never a silent violation.
-			return restartState{}, &attemptResult{outcome: S3, scrubbed: scrubbed, from: from, detected: a.Detected.Error()}
-		}
-		if len(a.Violations) > 0 {
-			return restartState{}, &attemptResult{outcome: SViol, scrubbed: scrubbed, from: from, violations: a.Violations}
-		}
-	}
-	return restartState{from: from, scrubbed: scrubbed, bookmarkLost: bookmarkLost, journal: journal}, nil
-}
-
-// terminalAttempt classifies a recovery attempt that ran to completion
-// without crashing again. final and verifyOK are the kernel's result scalars
-// and acceptance verdict on the terminal machine state (computed once by the
-// caller: on a shared recovery several trials classify from one terminal
-// state). crashIter is the progress lost with the bookmark when the scrub
-// fallback restarted from iteration 0.
-func terminalAttempt(goldenIters int64, rs restartState, executed int64, final []float64, verifyOK bool, crashIter int64) attemptResult {
-	total := rs.from + executed
-	extra := total - goldenIters
-	if extra < 0 {
-		extra = 0
-	}
-	if rs.bookmarkLost {
-		// The redone iterations up to the crash point are extra work the
-		// scrub fallback paid for losing the bookmark.
-		extra += crashIter
-	}
-	res := attemptResult{extra: extra, final: final, executed: executed, scrubbed: rs.scrubbed, from: rs.from}
-	switch {
-	case !verifyOK:
-		res.outcome = S4
-	case extra > 0:
-		res.outcome = S2
-	default:
-		res.outcome, res.extra = S1, 0
-	}
-	return res
-}
-
-// overlapsPoison reports whether any cache block of the object is in the
-// poisoned set.
-func overlapsPoison(o mem.Object, poison map[uint64]struct{}) bool {
-	if len(poison) == 0 {
-		return false
-	}
-	for b := o.Addr &^ (mem.BlockSize - 1); b < o.End(); b += mem.BlockSize {
-		if _, bad := poison[b]; bad {
-			return true
-		}
-	}
-	return false
-}
-
-// runRecovery runs the restarted main loop, converting runtime panics from
-// corrupted state (index out of range and friends) into interruptions. With
-// armed, a *sim.Crash panic is the nested-failure model's re-crash and is
-// returned; unarmed it is a campaign-engine bug and re-thrown. Abort panics
-// belong to the campaign engine and are always re-thrown.
-func (t *Tester) runRecovery(k apps.Kernel, m *sim.Machine, from, budget int64, armed bool) (executed int64, crash *sim.Crash, err error, interrupted bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if c, isCrash := r.(*sim.Crash); isCrash {
-				if !armed {
-					panic(r) // no crash is armed during this restart; a bug
-				}
-				crash = c
-				return
-			}
-			if _, isAbort := r.(*sim.Abort); isAbort {
-				panic(r) // deadline/cancellation: the campaign engine handles it
-			}
-			interrupted = true
-		}
-	}()
-	executed, err = k.Run(m, from, budget)
-	return executed, nil, err, false
-}
-
-// Restarter is an optional kernel extension: PostRestart recomputes derived
-// (non-candidate) objects from restored candidates before the main loop
-// resumes — the paper's "re-computed based on the candidates".
-type Restarter interface {
-	PostRestart(m *sim.Machine, from int64)
-}
-
-func leUint64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}

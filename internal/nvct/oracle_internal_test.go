@@ -3,7 +3,6 @@ package nvct
 import (
 	"context"
 	"testing"
-	"time"
 
 	"easycrash/internal/apps"
 	"easycrash/internal/mem"
@@ -31,13 +30,16 @@ func TestPoisonedWALRestartNeverSilent(t *testing.T) {
 
 	// Crash deep in the run so plenty of puts are acknowledged and durable.
 	const crashAt = 2000
-	ps, completed := ts.runPhase1(context.Background(), nil, crashAt, 0, CampaignOpts{}, time.Time{}, errTestTimeout)
-	if completed != nil {
-		t.Fatalf("crash point %d did not fire (outcome %s)", crashAt, completed.Outcome)
+	r := ts.newRun(context.Background(), nil, CampaignOpts{},
+		campaignPlan{space: ts.golden.MainAccesses, trials: []plannedTrial{{point: crashAt}}})
+	w := r.watchdog()
+	s := r.firstLife(0, w)
+	if s == nil {
+		t.Fatalf("crash point %d did not fire", crashAt)
 	}
-	defer ts.putDump(ps.dump)
-	if ps.journal == nil {
-		t.Fatal("phase 1 captured no ack journal from the KV kernel")
+	defer ts.putDump(s.dump)
+	if s.journal == nil {
+		t.Fatal("the first life captured no ack journal from the KV kernel")
 	}
 
 	var wal mem.Object
@@ -54,12 +56,15 @@ func TestPoisonedWALRestartNeverSilent(t *testing.T) {
 		poison[b] = struct{}{}
 	}
 
-	st := ts.restartOnce(context.Background(), ps.dump, poison, ps.crash.Iter, ps.journal, false, time.Time{}, errTestTimeout, 0, nil, false)
+	a := s.attempt()
+	a.poison = poison
+	st := r.restartOnce(w, a)
 	if st.outcome != SDue {
 		t.Fatalf("unscrubbed restart over poisoned WAL classified %s, want %s", st.outcome, SDue)
 	}
 
-	st = ts.restartOnce(context.Background(), ps.dump, poison, ps.crash.Iter, ps.journal, true, time.Time{}, errTestTimeout, 0, nil, false)
+	r.opts.ScrubOnRestart = true
+	st = r.restartOnce(w, a)
 	if st.scrubbed == 0 {
 		t.Fatal("scrub restart re-initialised no objects")
 	}

@@ -84,8 +84,7 @@ func TestKVPrefixLiveEquivalence(t *testing.T) {
 		ts := tester(t, kernel)
 		opts := nvct.CampaignOpts{Tests: 60, Seed: 11}
 		fast := reportDigest(ts.RunCampaign(nil, opts))
-		opts.NoPrefixShare = true
-		live := reportDigest(ts.RunCampaign(nil, opts))
+		live := reportDigest(ts.RunCampaignLive(nil, opts))
 		if fast != live {
 			t.Fatalf("%s: prefix-shared and live engines disagree:\n fast %s\n live %s", kernel, fast, live)
 		}

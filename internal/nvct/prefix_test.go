@@ -43,9 +43,7 @@ func TestPrefixSharedMatchesLiveCampaign(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tt := tester(t, tc.kernel)
 			fast := tt.RunCampaign(tc.policy, tc.opts)
-			liveOpts := tc.opts
-			liveOpts.NoPrefixShare = true
-			live := tt.RunCampaign(tc.policy, liveOpts)
+			live := tt.RunCampaignLive(tc.policy, tc.opts)
 			if !reflect.DeepEqual(fast.Tests, live.Tests) {
 				for i := range fast.Tests {
 					if !reflect.DeepEqual(fast.Tests[i], live.Tests[i]) {
@@ -87,33 +85,33 @@ func TestPrefixSharedSimulatesPrefixOnce(t *testing.T) {
 			calls, tests, tests+2)
 	}
 	calls = 0
-	tt.RunCampaign(nil, nvct.CampaignOpts{Tests: tests, Seed: 1, Parallel: 1, NoPrefixShare: true})
+	tt.RunCampaignLive(nil, nvct.CampaignOpts{Tests: tests, Seed: 1, Parallel: 1})
 	if calls < 2*tests {
 		t.Fatalf("live path built the application %d times for %d tests; want >= %d", calls, tests, 2*tests)
 	}
 }
 
 // TestCampaignDumpBuffersPooled is the bench-guard for the satellite
-// allocation fix: even on the live (NoPrefixShare) path, per-test durable
+// allocation fix: even on the per-trial live path, per-test durable
 // dumps must come from the pool instead of allocating the image prefix fresh
 // each test. GC is disabled so sync.Pool cannot shed its contents mid-
 // measurement.
 func TestCampaignDumpBuffersPooled(t *testing.T) {
 	tt := tester(t, "lu")
-	opts := nvct.CampaignOpts{Tests: 15, Seed: 9, Parallel: 1, NoPrefixShare: true}
+	opts := nvct.CampaignOpts{Tests: 15, Seed: 9, Parallel: 1}
 
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	// Warm the machine and dump pools.
-	tt.RunCampaign(nil, nvct.CampaignOpts{Tests: 2, Seed: 9, Parallel: 1, NoPrefixShare: true})
+	tt.RunCampaignLive(nil, nvct.CampaignOpts{Tests: 2, Seed: 9, Parallel: 1})
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	tt.RunCampaign(nil, opts)
+	tt.RunCampaignLive(nil, opts)
 	runtime.ReadMemStats(&after)
 
 	perTest := (after.TotalAlloc - before.TotalAlloc) / uint64(opts.Tests)
-	// The historical engine allocated the full 64 MiB image per test (67 MB/
-	// op in BENCH_cachesim.json). Pooled dumps bound per-test allocation by
+	// The historical engine allocated the full 64 MiB image per test (67 MB
+	// per op). Pooled dumps bound per-test allocation by
 	// transient postmortem state — orders of magnitude below that. The
 	// threshold is generous so the guard only trips on a real regression.
 	if perTest > 8<<20 {

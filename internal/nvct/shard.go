@@ -6,13 +6,13 @@
 // trials are independent — so any subset of trial indices can execute in a
 // separate process against the same plan and produce records identical to the
 // full campaign's. Shards slice the index space round-robin (index i belongs
-// to shard i mod Count), each shard runs through the same engine selection as
-// a whole campaign (one reference prefix run per shard on the snapshot-tree
-// engine), and MergeShards reassembles the records in campaign order. The
-// merged report is byte-identical to RunCampaignContext's — the seed-replay
-// digest pins hold across shard counts — which is what makes a supervised
-// multi-process runner (internal/campaignd) trustworthy: supervision can
-// retry and reshuffle work without ever changing results.
+// to shard i mod Count), each shard runs through the same engine sequence as a
+// whole campaign (one reference prefix run per shard on the snapshot tree,
+// live path for the remainder), and MergeShards reassembles the records in
+// campaign order. The merged report is byte-identical to RunCampaignContext's
+// — the seed-replay digest pins hold across shard counts — which is what
+// makes a supervised multi-process runner (internal/campaignd) trustworthy:
+// supervision can retry and reshuffle work without ever changing results.
 package nvct
 
 import (
@@ -73,7 +73,7 @@ type ShardReport struct {
 }
 
 // RunShardContext runs this tester's slice of the campaign: the trials whose
-// index falls in the shard, executed through the same engine selection a whole
+// index falls in the shard, executed through the same engine sequence a whole
 // campaign uses (snapshot-tree sharing with one reference prefix run for the
 // shard, live fallback). The returned trials are byte-identical to the
 // corresponding Tests entries of RunCampaignContext with the same options.
@@ -89,34 +89,25 @@ func (t *Tester) RunShardContext(ctx context.Context, policy *Policy, opts Campa
 	if err != nil {
 		return nil, err
 	}
-	idxs := sh.Indices(opts.Tests)
 	out := &ShardReport{Kernel: t.name, Regions: t.golden.Regions, Requested: opts.Tests, Shard: sh}
-	if len(idxs) == 0 {
+	// The shard's plan is its slice of the campaign's: every trial keeps the
+	// state the full campaign drew for it.
+	own := plan.trials[:0]
+	for _, i := range sh.Indices(opts.Tests) {
+		own = append(own, plan.trials[i])
+	}
+	if len(own) == 0 {
 		// More shards than trials: this shard legitimately owns nothing.
 		return out, ctx.Err()
 	}
+	plan.trials = own
 
-	// Remap the shard's slice of the plan to local indices: the engine sees a
-	// dense points slice, the seed accessors translate back to global indices
-	// so every trial draws exactly the state the full campaign drew for it.
-	points := make([]uint64, len(idxs))
-	for k, i := range idxs {
-		points[k] = plan.points[i]
-	}
-	seedAt := func(k int) int64 { return plan.seedAt(idxs[k]) }
-	trialSeedAt := func(k int) int64 { return plan.trialSeedAt(idxs[k]) }
-
-	var onLocal func(int)
-	if onDone != nil {
-		onLocal = func(k int) { onDone(idxs[k]) }
-	}
-	rep := &Report{Tests: make([]TestResult, len(idxs))}
-	done := make([]bool, len(idxs))
-	t.runPlanned(ctx, policy, points, seedAt, trialSeedAt, plan.space, opts, rep, done, onLocal)
-
-	for k, i := range idxs {
-		if done[k] {
-			out.Trials = append(out.Trials, ShardTrial{Index: i, Res: rep.Tests[k]})
+	r := t.newRun(ctx, policy, opts, plan)
+	r.onDone = onDone
+	r.run()
+	for k, tr := range plan.trials {
+		if r.done[k] {
+			out.Trials = append(out.Trials, ShardTrial{Index: tr.index, Res: r.results[k]})
 		}
 	}
 	return out, ctx.Err()

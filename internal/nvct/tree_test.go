@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"testing"
+	"time"
 
 	"easycrash/internal/apps"
 	"easycrash/internal/faultmodel"
@@ -50,9 +51,7 @@ func TestTreeSharedFaultsMatchesLiveCampaign(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tt := tester(t, tc.kernel)
 			fast := tt.RunCampaign(tc.policy, tc.opts)
-			liveOpts := tc.opts
-			liveOpts.NoPrefixShare = true
-			live := tt.RunCampaign(tc.policy, liveOpts)
+			live := tt.RunCampaignLive(tc.policy, tc.opts)
 			if !reflect.DeepEqual(fast.Tests, live.Tests) {
 				for i := range fast.Tests {
 					if !reflect.DeepEqual(fast.Tests[i], live.Tests[i]) {
@@ -125,11 +124,57 @@ func TestTreeFallbackKeepsFinishedTrials(t *testing.T) {
 			calls, tests, tests+2)
 	}
 
-	liveOpts := opts
-	liveOpts.NoPrefixShare = true
-	live := tt.RunCampaign(nil, liveOpts)
+	live := tt.RunCampaignLive(nil, opts)
 	if !reflect.DeepEqual(trapped.Tests, live.Tests) {
 		t.Fatal("trapped-reference campaign diverged from the all-live campaign")
+	}
+}
+
+// TestDeadlineCampaignRunsOnTree pins that per-test and per-trial deadlines
+// no longer drop a campaign to the live path: with a deadline no trial comes
+// near, the application is built exactly as often as the no-deadline tree
+// builds it — once for the reference run plus once per shared recovery leg
+// (at most tests+1 for a classic campaign), never the live path's one first
+// life plus one restart per attempt — and the report is the no-deadline
+// campaign's.
+func TestDeadlineCampaignRunsOnTree(t *testing.T) {
+	inner, err := apps.New("lu", apps.ProfileTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	tt, err := nvct.NewTester(func() apps.Kernel { calls++; return inner() }, nvct.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tests = 20
+	for _, tc := range []struct {
+		name string
+		opts nvct.CampaignOpts
+	}{
+		{"test-timeout", nvct.CampaignOpts{Tests: tests, Seed: 13, Parallel: 1, TestTimeout: time.Hour}},
+		{"trial-deadline", nvct.CampaignOpts{Tests: tests, Seed: 13, Parallel: 1, RecrashDepth: 1, TrialDeadline: time.Hour}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			unbounded := tc.opts
+			unbounded.TestTimeout, unbounded.TrialDeadline = 0, 0
+			calls = 0
+			want := tt.RunCampaign(nil, unbounded)
+			treeBuilds := calls
+			if tc.opts.RecrashDepth == 0 && treeBuilds > tests+2 {
+				t.Fatalf("classic tree campaign built the application %d times for %d tests; want <= %d", treeBuilds, tests, tests+2)
+			}
+
+			calls = 0
+			got := tt.RunCampaign(nil, tc.opts)
+			if calls != treeBuilds || calls >= 2*tests {
+				t.Fatalf("deadline campaign built the application %d times for %d tests; want the tree's %d (the live path needs >= %d)",
+					calls, tests, treeBuilds, 2*tests)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatal("deadline campaign diverged from the no-deadline campaign")
+			}
+		})
 	}
 }
 
@@ -227,9 +272,7 @@ func TestTreeSharedDuplicatePointsRace(t *testing.T) {
 		t.Fatalf("no duplicate crash points across %d trials; the kernel's crash space grew", len(fast.Tests))
 	}
 
-	liveOpts := opts
-	liveOpts.NoPrefixShare = true
-	live := tt.RunCampaign(nil, liveOpts)
+	live := tt.RunCampaignLive(nil, opts)
 	if !reflect.DeepEqual(fast.Tests, live.Tests) {
 		t.Fatal("duplicate-point campaign diverged from the live engine")
 	}
