@@ -58,67 +58,13 @@ func workerMode() {
 	}
 }
 
-// registerSpecFlags registers the flags that describe the campaign itself (as
-// opposed to its supervision) and returns the function that, once the flag set
-// is parsed, validates them into the spec every worker loads.
-func registerSpecFlags(fs *flag.FlagSet) func() (*campaignd.Spec, error) {
-	var (
-		kernel   = fs.String("kernel", "mg", "kernel to test")
-		tests    = fs.Int("tests", 200, "crash tests in the campaign (> 0)")
-		seed     = fs.Int64("seed", 1, "campaign seed")
-		persist  = fs.String("persist", "", "comma-separated data objects to persist (empty: none)")
-		regions  = fs.String("regions", "", "comma-separated region ids to flush at (empty with -persist: every iteration end)")
-		everyIt  = fs.Bool("every-iteration", false, "also flush at iteration ends")
-		freq     = fs.Int64("frequency", 1, "persist every x iterations (>= 1)")
-		verified = fs.Bool("verified", false, "run the copy-based verified campaign variant")
-		duringP  = fs.Bool("during-persistence", false, "make persistence flushes crash-eligible")
-		parallel = fs.Int("parallel", 1, "concurrent crash tests within each worker")
-		profile  = fs.String("profile", "test", "problem size: test | bench")
-		cache    = fs.String("cache", "test", "cache geometry: test | paper")
-	)
-	faultFlags := cli.RegisterFaultFlags(fs, true)
-	nestedFlags := cli.RegisterNestedFlags(fs)
-	return func() (*campaignd.Spec, error) {
-		faults, err := faultFlags.Config()
-		if err != nil {
-			return nil, err
-		}
-		if err := nestedFlags.Validate(); err != nil {
-			return nil, err
-		}
-		policy, err := cli.BuildPolicy(*persist, *regions, *everyIt, *freq)
-		if err != nil {
-			return nil, err
-		}
-		return &campaignd.Spec{
-			Kernel:  *kernel,
-			Profile: *profile,
-			Cache:   *cache,
-			Policy:  policy,
-			Opts: nvct.CampaignOpts{
-				Tests:                  *tests,
-				Seed:                   *seed,
-				Verified:               *verified,
-				Parallel:               *parallel,
-				CrashDuringPersistence: *duringP,
-				Faults:                 faults,
-				ScrubOnRestart:         faultFlags.Scrub,
-				TestTimeout:            faultFlags.Timeout,
-				RecrashDepth:           nestedFlags.Depth,
-				RetryBudget:            nestedFlags.Budget,
-				TrialDeadline:          nestedFlags.Deadline,
-			},
-		}, nil
-	}
-}
-
 func main() {
 	workerMode()
 
 	log.SetFlags(0)
 	log.SetPrefix("campaignrunner: ")
 
-	buildSpec := registerSpecFlags(flag.CommandLine)
+	buildSpec := campaignd.RegisterSpecFlags(flag.CommandLine, 1)
 	var (
 		shards      = flag.Int("shards", 2, "worker shards (>= 1)")
 		runDir      = flag.String("run-dir", "", "artifact directory for this run (required)")

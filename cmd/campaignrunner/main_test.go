@@ -24,7 +24,7 @@ func TestMain(m *testing.M) {
 // deadline turns every trial of every shard into ERR.
 func TestTimeoutFlagReachesWorkers(t *testing.T) {
 	fs := flag.NewFlagSet("campaignrunner", flag.ContinueOnError)
-	buildSpec := registerSpecFlags(fs)
+	buildSpec := campaignd.RegisterSpecFlags(fs, 1)
 	if err := fs.Parse([]string{"-kernel", "lu", "-tests", "8", "-seed", "3", "-timeout", "1ns"}); err != nil {
 		t.Fatal(err)
 	}

@@ -12,12 +12,7 @@
 //	     [-timeout 30s] [-recrash-depth 2] [-retry-budget 3]
 //	     [-trial-deadline 2m] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	     [-repro 17] [-json report.json] [-fail-on-violations]
-//	     [-expect-violations] [-scalar]
-//
-// -scalar forces the scalar per-access reference engine (every kernel
-// access walks the full hierarchy lookup); campaign results are identical
-// to the default batched engine, so the flag exists for profiling and
-// A/B timing, not for changing outcomes.
+//	     [-expect-violations]
 //
 // With -recrash-depth K > 0 the campaign runs the nested-failure model:
 // up to K additional crashes strike each trial's recovery runs, and the
@@ -40,6 +35,7 @@ import (
 	"strings"
 
 	"easycrash/internal/apps"
+	"easycrash/internal/campaignd"
 	"easycrash/internal/cli"
 	"easycrash/internal/nvct"
 
@@ -52,24 +48,10 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("nvct: ")
 
-	var (
-		kernel   = flag.String("kernel", "mg", "kernel to test (see -list)")
-		list     = flag.Bool("list", false, "list kernels and exit")
-		tests    = flag.Int("tests", 200, "crash tests in the campaign (> 0)")
-		seed     = flag.Int64("seed", 1, "campaign seed")
-		persist  = flag.String("persist", "", "comma-separated data objects to persist (empty: none)")
-		regions  = flag.String("regions", "", "comma-separated region ids to flush at (empty with -persist: every iteration end)")
-		everyIt  = flag.Bool("every-iteration", false, "also flush at iteration ends")
-		freq     = flag.Int64("frequency", 1, "persist every x iterations (>= 1)")
-		verified = flag.Bool("verified", false, "run the copy-based verified campaign variant")
-		duringP  = flag.Bool("during-persistence", false, "make persistence flushes crash-eligible")
-		parallel = flag.Int("parallel", 0, "concurrent crash tests (0: GOMAXPROCS, 1: serial)")
-		profile  = flag.String("profile", "test", "problem size: test | bench")
-		cache    = flag.String("cache", "test", "cache geometry: test | paper")
-		scalar   = flag.Bool("scalar", false, "force the scalar per-access reference engine (disable batched runs/streams)")
-	)
-	faultFlags := cli.RegisterFaultFlags(flag.CommandLine, true)
-	nestedFlags := cli.RegisterNestedFlags(flag.CommandLine)
+	// The campaign flags are the block campaignrunner registers too, so a
+	// repro command archived by either parses here.
+	buildSpec := campaignd.RegisterSpecFlags(flag.CommandLine, 0)
+	list := flag.Bool("list", false, "list kernels and exit")
 	profFlags := cli.RegisterProfileFlags(flag.CommandLine)
 	oracleFlags := cli.RegisterOracleFlags(flag.CommandLine)
 	flag.Parse()
@@ -81,64 +63,23 @@ func main() {
 	if flag.NArg() > 0 {
 		log.Fatalf("unexpected arguments %q (all options are flags)", flag.Args())
 	}
-	if *tests <= 0 {
-		log.Fatalf("-tests must be positive, got %d", *tests)
-	}
-	if *freq < 1 {
-		log.Fatalf("-frequency must be >= 1, got %d", *freq)
-	}
-	if *parallel < 0 {
-		log.Fatalf("-parallel must be >= 0, got %d", *parallel)
-	}
-	faults, err := faultFlags.Config()
+	spec, err := buildSpec()
 	if err != nil {
-		log.Fatal(err)
-	}
-	if err := nestedFlags.Validate(); err != nil {
 		log.Fatal(err)
 	}
 	if err := oracleFlags.Validate(); err != nil {
 		log.Fatal(err)
 	}
 
-	prof, err := cli.ParseProfile(*profile)
-	if err != nil {
-		log.Fatal(err)
-	}
-	factory, err := apps.New(*kernel, prof)
-	if err != nil {
-		log.Fatal(err)
-	}
-	geom, err := cli.ParseCache(*cache)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg := nvct.Config{Cache: geom, ScalarAccess: *scalar}
-	tester, err := nvct.NewTester(factory, cfg)
+	tester, err := spec.NewTester()
 	if err != nil {
 		log.Fatal(err)
 	}
 	g := tester.Golden()
 	fmt.Printf("kernel %s: %d iterations, %d main-loop accesses, footprint %s (candidates %s), %d regions\n",
-		*kernel, g.Iters, g.MainAccesses, cli.Size(g.Footprint), cli.Size(g.CandidateBytes), g.Regions)
+		spec.Kernel, g.Iters, g.MainAccesses, cli.Size(g.Footprint), cli.Size(g.CandidateBytes), g.Regions)
 
-	policy, err := cli.BuildPolicy(*persist, *regions, *everyIt, *freq)
-	if err != nil {
-		log.Fatal(err)
-	}
-	opts := nvct.CampaignOpts{
-		Tests:                  *tests,
-		Seed:                   *seed,
-		Verified:               *verified,
-		Parallel:               *parallel,
-		CrashDuringPersistence: *duringP,
-		Faults:                 faults,
-		ScrubOnRestart:         faultFlags.Scrub,
-		TestTimeout:            faultFlags.Timeout,
-		RecrashDepth:           nestedFlags.Depth,
-		RetryBudget:            nestedFlags.Budget,
-		TrialDeadline:          nestedFlags.Deadline,
-	}
+	policy, opts, faults := spec.Policy, spec.Opts, spec.Opts.Faults
 	// An interrupted campaign (^C, SIGTERM) cancels cleanly: in-flight tests
 	// abort, and the partial report of completed tests is still printed.
 	ctx, stop := cli.SignalContext()
@@ -186,10 +127,10 @@ func main() {
 		log.Fatal("no tests completed")
 	}
 
-	fmt.Printf("\ncampaign: %d tests (seed %d, policy %s)\n", len(rep.Tests), *seed, cli.DescribePolicy(policy, *verified))
+	fmt.Printf("\ncampaign: %d tests (seed %d, policy %s)\n", len(rep.Tests), opts.Seed, cli.DescribePolicy(policy, opts.Verified))
 	if faults.Enabled() {
 		fmt.Printf("  media faults: RBER %g, torn writes %v, ECC correct %d / detect %d, scrub %v\n",
-			faults.RBER, faults.TornWrites, faults.ECC.CorrectBits, faults.ECC.DetectBits, faultFlags.Scrub)
+			faults.RBER, faults.TornWrites, faults.ECC.CorrectBits, faults.ECC.DetectBits, opts.ScrubOnRestart)
 	}
 	n := float64(len(rep.Tests))
 	fmt.Printf("  S1 success, no extra iters : %4d (%.1f%%)\n", rep.Counts[nvct.S1], 100*float64(rep.Counts[nvct.S1])/n)
@@ -216,7 +157,7 @@ func main() {
 	}
 	if maxd := rep.MaxDepth(); maxd > 0 {
 		fmt.Printf("\nnested failures (depth <= %d): %d recovery attempts consumed, depth counts %v\n",
-			nestedFlags.Depth+1, rep.RetriesConsumed(), rep.DepthCounts())
+			opts.RecrashDepth+1, rep.RetriesConsumed(), rep.DepthCounts())
 		fmt.Println("recoverability under re-crash:")
 		for k, r := range rep.RecrashRecoverability() {
 			fmt.Printf("  R(%d) = %.3f\n", k+1, r)

@@ -311,23 +311,3 @@ func TestBenchProfilesRun(t *testing.T) {
 		})
 	}
 }
-
-func TestKernelsRunOnMultiCoreHierarchy(t *testing.T) {
-	// The coherent multi-core configuration must give identical results
-	// (kernels issue from core 0; coherence must not perturb values).
-	cfg := cachesim.TestConfig()
-	cfg.Cores = 2
-	f, _ := apps.New("mg", apps.ProfileTest)
-	k := f()
-	m := sim.NewMachine(64<<20, cfg)
-	k.Setup(m)
-	k.Init(m)
-	if _, err := k.Run(m, 0, k.NominalIters()); err != nil {
-		t.Fatal(err)
-	}
-	_, m1, _ := runGolden(t, "mg", apps.ProfileTest)
-	r1, r2 := k.Result(m1), k.Result(m)
-	if r1[0] != r2[0] {
-		t.Fatalf("multi-core result %v != single-core %v", r2[0], r1[0])
-	}
-}

@@ -8,9 +8,10 @@
 //   - the semantics of the x86 flush instructions (CLFLUSH, CLFLUSHOPT, CLWB):
 //     flushing a clean or non-resident block writes nothing back.
 //
-// The hierarchy may be configured with several cores, each with private
-// levels and a shared last-level cache, kept coherent with an
-// invalidation-based (MSI-style) protocol.
+// The hierarchy models one core: a stack of private levels in front of a
+// last-level cache. Every kernel in this repository issues from one core, so
+// the multi-core coherence model that once lived here never influenced a
+// result and was removed (it is in the history before PR 13).
 package cachesim
 
 import (
@@ -100,10 +101,9 @@ type LevelConfig struct {
 func (lc LevelConfig) Sets() int { return lc.Size / (BlockSize * lc.Ways) }
 
 // Config describes a hierarchy. Levels are ordered closest-to-CPU first; the
-// last level is shared among cores, all earlier levels are private per core.
+// last level is the LLC, all earlier levels form the private stack.
 type Config struct {
 	Name   string
-	Cores  int
 	Levels []LevelConfig
 	// Replace selects the replacement policy (default LRU).
 	Replace Replacement
@@ -111,9 +111,6 @@ type Config struct {
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if c.Cores < 1 {
-		return fmt.Errorf("cachesim: config %q: need at least 1 core", c.Name)
-	}
 	if len(c.Levels) < 1 {
 		return fmt.Errorf("cachesim: config %q: need at least 1 level", c.Name)
 	}
@@ -134,8 +131,7 @@ func (c Config) Validate() error {
 // LLC by the same ratio the paper's Class C inputs exceed a 19.25 MiB LLC.
 func TestConfig() Config {
 	return Config{
-		Name:  "test",
-		Cores: 1,
+		Name: "test",
 		Levels: []LevelConfig{
 			{Name: "L1", Size: 2 << 10, Ways: 4},
 			{Name: "L2", Size: 8 << 10, Ways: 8},
@@ -149,8 +145,7 @@ func TestConfig() Config {
 // rounded down to the nearest multiple of 12 ways x 64 B (1365 sets).
 func PaperConfig() Config {
 	return Config{
-		Name:  "xeon-gold-6126",
-		Cores: 1,
+		Name: "xeon-gold-6126",
 		Levels: []LevelConfig{
 			{Name: "L1", Size: 32 << 10, Ways: 8},
 			{Name: "L2", Size: 1365 * 12 * BlockSize, Ways: 12},
@@ -163,8 +158,7 @@ func PaperConfig() Config {
 type Stats struct {
 	Loads  uint64
 	Stores uint64
-	// Hits and Misses are per level, index 0 = closest to CPU. A private-
-	// level entry aggregates all cores.
+	// Hits and Misses are per level, index 0 = closest to CPU.
 	Hits   []uint64
 	Misses []uint64
 	// Fills counts blocks read from backing memory (NVM reads).
@@ -182,8 +176,6 @@ type Stats struct {
 	CleanFlushes uint64
 	// DrainWritebacks counts dirty blocks written back by WriteBackAll.
 	DrainWritebacks uint64
-	// Invalidations counts coherence invalidations of private copies.
-	Invalidations uint64
 }
 
 // Writebacks returns all dirty-block write-backs that reached backing memory.
@@ -328,7 +320,7 @@ func (c *cache) countValid() (valid, dirty int) {
 	return c.valid, c.dirty
 }
 
-// Hierarchy is a coherent, inclusive cache hierarchy carrying data values.
+// Hierarchy is an inclusive cache hierarchy carrying data values.
 //
 // Block values live in a flat, direct-indexed store: one contiguous arena
 // with as many slots as the LLC has lines (residency is LLC-bounded by
@@ -339,8 +331,8 @@ func (c *cache) countValid() (valid, dirty int) {
 type Hierarchy struct {
 	cfg     Config
 	nlev    int
-	npriv   int        // nlev-1
-	priv    [][]*cache // [core][level 0..npriv-1]
+	npriv   int      // nlev-1
+	priv    []*cache // private stack, innermost first (level 0..npriv-1)
 	llc     *cache
 	backing Backing
 
@@ -383,12 +375,9 @@ func New(cfg Config, backing Backing) *Hierarchy {
 		npriv:   len(cfg.Levels) - 1,
 		backing: backing,
 	}
-	h.priv = make([][]*cache, cfg.Cores)
-	for c := range h.priv {
-		h.priv[c] = make([]*cache, h.npriv)
-		for l := 0; l < h.npriv; l++ {
-			h.priv[c][l] = newCache(cfg.Levels[l], cfg.Replace)
-		}
+	h.priv = make([]*cache, h.npriv)
+	for l := range h.priv {
+		h.priv[l] = newCache(cfg.Levels[l], cfg.Replace)
 	}
 	h.llc = newCache(cfg.Levels[h.nlev-1], cfg.Replace)
 	h.stats.Hits = make([]uint64, h.nlev)
@@ -480,50 +469,52 @@ func (h *Hierarchy) ResetStats() {
 	}
 }
 
-// Load reads len(buf) bytes at addr through the cache on the given core.
-func (h *Hierarchy) Load(core int, addr uint64, buf []byte) {
+// Load reads len(buf) bytes at addr through the cache. The leading int of
+// the six access entry points (Load, Store, LoadRun, StoreRun, Stream.Load8,
+// Stream.Store8) is reserved, callers pass 0; dropped with the next
+// benchmark-archetype PR (benchmark/layers.go calls them positionally).
+func (h *Hierarchy) Load(_ int, addr uint64, buf []byte) {
 	h.stats.Loads++
 	if off := int(addr & (BlockSize - 1)); off+len(buf) <= BlockSize {
-		h.accessBlock(core, addr>>blockShift, off, buf, false)
+		h.accessBlock(addr>>blockShift, off, buf, false)
 		return
 	}
-	h.split(core, addr, buf, false)
+	h.split(addr, buf, false)
 }
 
-// Store writes len(buf) bytes at addr through the cache on the given core
-// (write-allocate: the block is brought into the cache first).
-func (h *Hierarchy) Store(core int, addr uint64, buf []byte) {
+// Store writes len(buf) bytes at addr through the cache (write-allocate: the
+// block is brought into the cache first).
+func (h *Hierarchy) Store(_ int, addr uint64, buf []byte) {
 	h.stats.Stores++
 	if off := int(addr & (BlockSize - 1)); off+len(buf) <= BlockSize {
-		h.accessBlock(core, addr>>blockShift, off, buf, true)
+		h.accessBlock(addr>>blockShift, off, buf, true)
 		return
 	}
-	h.split(core, addr, buf, true)
+	h.split(addr, buf, true)
 }
 
 // LoadRun reads len(buf)/8 consecutive 8-byte elements starting at addr,
 // equivalent to issuing one 8-byte Load per element but resolving residency
 // once per 64 B block. addr must be 8-byte aligned and len(buf) a multiple
 // of 8 (unaligned runs fall back to the per-element path).
-func (h *Hierarchy) LoadRun(core int, addr uint64, buf []byte) {
-	h.accessRun(core, addr, buf, false)
+func (h *Hierarchy) LoadRun(_ int, addr uint64, buf []byte) {
+	h.accessRun(addr, buf, false)
 }
 
 // StoreRun writes len(buf)/8 consecutive 8-byte elements starting at addr;
 // the batched counterpart of per-element Store (see LoadRun).
-func (h *Hierarchy) StoreRun(core int, addr uint64, buf []byte) {
-	h.accessRun(core, addr, buf, true)
+func (h *Hierarchy) StoreRun(_ int, addr uint64, buf []byte) {
+	h.accessRun(addr, buf, true)
 }
 
 // accessRun is the batched engine: per 64 B block it pays one residency
 // resolution, then accounts the remaining elements of the block in bulk.
 // The result is element-for-element equivalent to the scalar path — same
-// tick evolution, hit/miss counts, LRU touches, dirty bits, coherence
-// traffic and fill/eviction order — because within one block the 2nd..kth
-// scalar accesses are always innermost-level hits whose only effects are a
-// tick, a Hits[0] count and an LRU touch (idempotent dirty marks and no-op
-// coherence aside).
-func (h *Hierarchy) accessRun(core int, addr uint64, buf []byte, store bool) {
+// tick evolution, hit/miss counts, LRU touches, dirty bits and fill/eviction
+// order — because within one block the 2nd..kth scalar accesses are always
+// innermost-level hits whose only effects are a tick, a Hits[0] count and an
+// LRU touch (idempotent dirty marks aside).
+func (h *Hierarchy) accessRun(addr uint64, buf []byte, store bool) {
 	if addr&7 != 0 || len(buf)&7 != 0 {
 		// Unaligned elements can straddle blocks (two ticks each); keep the
 		// exact scalar semantics for them.
@@ -533,9 +524,9 @@ func (h *Hierarchy) accessRun(core int, addr uint64, buf []byte, store bool) {
 				n = len(buf)
 			}
 			if store {
-				h.Store(core, addr, buf[:n])
+				h.Store(0, addr, buf[:n])
 			} else {
-				h.Load(core, addr, buf[:n])
+				h.Load(0, addr, buf[:n])
 			}
 			addr += uint64(n)
 			buf = buf[n:]
@@ -555,14 +546,11 @@ func (h *Hierarchy) accessRun(core int, addr uint64, buf []byte, store bool) {
 		}
 		blk := addr >> blockShift
 		h.tick++
-		data, inner, slot := h.ensureResident(core, blk)
+		data, inner, slot := h.ensureResident(blk)
 		if store {
 			copy(data[off:off+seg], buf[:seg])
 			if st := inner.state[slot]; st&stDirty == 0 {
 				inner.setState(slot, st|stDirty)
-			}
-			if h.cfg.Cores > 1 {
-				h.invalidateOthers(core, blk)
 			}
 		} else {
 			copy(buf[:seg], data[off:off+seg])
@@ -577,22 +565,22 @@ func (h *Hierarchy) accessRun(core int, addr uint64, buf []byte, store bool) {
 	}
 }
 
-func (h *Hierarchy) split(core int, addr uint64, buf []byte, store bool) {
+func (h *Hierarchy) split(addr uint64, buf []byte, store bool) {
 	for len(buf) > 0 {
 		off := int(addr & (BlockSize - 1))
 		n := BlockSize - off
 		if n > len(buf) {
 			n = len(buf)
 		}
-		h.accessBlock(core, addr>>blockShift, off, buf[:n], store)
+		h.accessBlock(addr>>blockShift, off, buf[:n], store)
 		addr += uint64(n)
 		buf = buf[n:]
 	}
 }
 
-func (h *Hierarchy) accessBlock(core int, blk uint64, off int, buf []byte, store bool) {
+func (h *Hierarchy) accessBlock(blk uint64, off int, buf []byte, store bool) {
 	h.tick++
-	data, inner, slot := h.ensureResident(core, blk)
+	data, inner, slot := h.ensureResident(blk)
 	if store {
 		copy(data[off:off+len(buf)], buf)
 		// Mark dirty in the innermost level; ensureResident just returned
@@ -600,20 +588,17 @@ func (h *Hierarchy) accessBlock(core int, blk uint64, off int, buf []byte, store
 		if st := inner.state[slot]; st&stDirty == 0 {
 			inner.setState(slot, st|stDirty)
 		}
-		if h.cfg.Cores > 1 {
-			h.invalidateOthers(core, blk)
-		}
 	} else {
 		copy(buf, data[off:off+len(buf)])
 	}
 }
 
-// ensureResident makes blk resident in every level on core's path and
-// returns its value buffer together with its innermost residency (the L1
-// tag array and way slot, or the LLC's when there are no private levels),
-// so callers can mark dirtiness without a second lookup. Fill order is
-// outermost-first so the inclusion invariant holds while inner levels evict.
-func (h *Hierarchy) ensureResident(core int, blk uint64) (*[BlockSize]byte, *cache, int) {
+// ensureResident makes blk resident in every level and returns its value
+// buffer together with its innermost residency (the L1 tag array and way
+// slot, or the LLC's when there are no private levels), so callers can mark
+// dirtiness without a second lookup. Fill order is outermost-first so the
+// inclusion invariant holds while inner levels evict.
+func (h *Hierarchy) ensureResident(blk uint64) (*[BlockSize]byte, *cache, int) {
 	if h.slotOf(blk) < 0 {
 		// No arena slot means blk is valid in no cache (every resident
 		// line's value lives in the arena), so the per-level tag scans are
@@ -629,13 +614,13 @@ func (h *Hierarchy) ensureResident(core int, blk uint64) (*[BlockSize]byte, *cac
 		}
 		slot := -1
 		for l := h.npriv - 1; l >= 0; l-- {
-			slot = h.insertPrivate(core, l, blk)
+			slot = h.insertPrivate(l, blk)
 		}
-		return h.blockData(blk), h.priv[core][0], slot
+		return h.blockData(blk), h.priv[0], slot
 	}
 	// Fast path: L1 hit.
 	if h.npriv > 0 {
-		l1 := h.priv[core][0]
+		l1 := h.priv[0]
 		if slot, ok := l1.lookup(blk); ok {
 			l1.touch(slot, h.tick)
 			h.stats.Hits[0]++
@@ -646,8 +631,8 @@ func (h *Hierarchy) ensureResident(core int, blk uint64) (*[BlockSize]byte, *cac
 	// Find the outermost level that already has the block.
 	hitLevel := -1 // -1 means memory
 	for l := 1; l < h.npriv; l++ {
-		if slot, ok := h.priv[core][l].lookup(blk); ok {
-			h.priv[core][l].touch(slot, h.tick)
+		if slot, ok := h.priv[l].lookup(blk); ok {
+			h.priv[l].touch(slot, h.tick)
 			h.stats.Hits[l]++
 			hitLevel = l
 			break
@@ -674,12 +659,12 @@ func (h *Hierarchy) ensureResident(core int, blk uint64) (*[BlockSize]byte, *cac
 	}
 	slot := -1
 	for l := top; l >= 0; l-- {
-		slot = h.insertPrivate(core, l, blk)
+		slot = h.insertPrivate(l, blk)
 	}
-	return h.blockData(blk), h.priv[core][0], slot
+	return h.blockData(blk), h.priv[0], slot
 }
 
-// insertLLC inserts blk into the shared LLC, evicting a victim if needed,
+// insertLLC inserts blk into the LLC, evicting a victim if needed,
 // and returns the way slot used.
 func (h *Hierarchy) insertLLC(blk uint64) int {
 	slot := h.llc.victimSlot(blk)
@@ -700,14 +685,12 @@ func (h *Hierarchy) insertLLC(blk uint64) int {
 func (h *Hierarchy) evictLLCSlot(slot int) {
 	victim := h.llc.tags[slot]
 	dirty := h.llc.state[slot]&stDirty != 0
-	for c := 0; c < h.cfg.Cores; c++ {
-		for l := 0; l < h.npriv; l++ {
-			if s, ok := h.priv[c][l].lookup(victim); ok {
-				if h.priv[c][l].state[s]&stDirty != 0 {
-					dirty = true
-				}
-				h.priv[c][l].setState(s, 0)
+	for _, pc := range h.priv {
+		if s, ok := pc.lookup(victim); ok {
+			if pc.state[s]&stDirty != 0 {
+				dirty = true
 			}
+			pc.setState(s, 0)
 		}
 	}
 	if dirty {
@@ -718,27 +701,27 @@ func (h *Hierarchy) evictLLCSlot(slot int) {
 	h.llc.setState(slot, 0)
 }
 
-// insertPrivate inserts blk into core's private level l, evicting the LRU
+// insertPrivate inserts blk into private level l, evicting the LRU
 // victim into level l+1 (which holds it by inclusion). Returns the way slot
 // used.
-func (h *Hierarchy) insertPrivate(core, l int, blk uint64) int {
-	c := h.priv[core][l]
+func (h *Hierarchy) insertPrivate(l int, blk uint64) int {
+	c := h.priv[l]
 	slot := c.victimSlot(blk)
 	if c.state[slot]&stValid != 0 {
 		victim := c.tags[slot]
 		victimDirty := c.state[slot]&stDirty != 0
-		// Back-invalidate inner levels of this core (inclusion within the
-		// private stack), merging their dirtiness into the victim's.
-		for il := 0; il < l; il++ {
-			if s, ok := h.priv[core][il].lookup(victim); ok {
-				if h.priv[core][il].state[s]&stDirty != 0 {
+		// Back-invalidate inner levels (inclusion within the private
+		// stack), merging their dirtiness into the victim's.
+		for _, ic := range h.priv[:l] {
+			if s, ok := ic.lookup(victim); ok {
+				if ic.state[s]&stDirty != 0 {
 					victimDirty = true
 				}
-				h.priv[core][il].setState(s, 0)
+				ic.setState(s, 0)
 			}
 		}
 		if victimDirty {
-			h.markDirtyBelow(core, l, victim)
+			h.markDirtyBelow(l, victim)
 		}
 	}
 	set := int(blk % c.nsets)
@@ -749,12 +732,13 @@ func (h *Hierarchy) insertPrivate(core, l int, blk uint64) int {
 	return slot
 }
 
-// markDirtyBelow records that victim, evicted dirty out of core's level l,
+// markDirtyBelow records that victim, evicted dirty out of private level l,
 // is now dirty in the next level down (private l+1 or the LLC).
-func (h *Hierarchy) markDirtyBelow(core, l int, victim uint64) {
+func (h *Hierarchy) markDirtyBelow(l int, victim uint64) {
 	if l+1 < h.npriv {
-		if s, ok := h.priv[core][l+1].lookup(victim); ok {
-			h.priv[core][l+1].setState(s, h.priv[core][l+1].state[s]|stDirty)
+		next := h.priv[l+1]
+		if s, ok := next.lookup(victim); ok {
+			next.setState(s, next.state[s]|stDirty)
 			return
 		}
 		panic("cachesim: inclusion violated: victim absent from next private level")
@@ -766,54 +750,29 @@ func (h *Hierarchy) markDirtyBelow(core, l int, victim uint64) {
 	panic("cachesim: inclusion violated: victim absent from LLC")
 }
 
-// invalidateOthers removes private copies of blk held by cores other than
-// writer, transferring any dirtiness to the shared LLC line.
-func (h *Hierarchy) invalidateOthers(writer int, blk uint64) {
-	for c := 0; c < h.cfg.Cores; c++ {
-		if c == writer {
-			continue
-		}
-		for l := 0; l < h.npriv; l++ {
-			if s, ok := h.priv[c][l].lookup(blk); ok {
-				if h.priv[c][l].state[s]&stDirty != 0 {
-					if ls := h.slotOf(blk); ls >= 0 {
-						h.llc.setState(int(ls), h.llc.state[ls]|stDirty)
-					}
-				}
-				h.priv[c][l].setState(s, 0)
-				h.stats.Invalidations++
-			}
-		}
-	}
-}
-
-// dirtyAnywhere reports whether blk is dirty in any level of any core.
+// dirtyAnywhere reports whether blk is dirty in any level.
 func (h *Hierarchy) dirtyAnywhere(blk uint64) bool {
 	if s := h.slotOf(blk); s >= 0 && h.llc.state[s]&stDirty != 0 {
 		return true
 	}
-	for c := 0; c < h.cfg.Cores; c++ {
-		for l := 0; l < h.npriv; l++ {
-			if s, ok := h.priv[c][l].lookup(blk); ok && h.priv[c][l].state[s]&stDirty != 0 {
-				return true
-			}
+	for _, pc := range h.priv {
+		if s, ok := pc.lookup(blk); ok && pc.state[s]&stDirty != 0 {
+			return true
 		}
 	}
 	return false
 }
 
-// cleanEverywhere clears the dirty bit of blk in every level of every core.
+// cleanEverywhere clears the dirty bit of blk in every level.
 // Residency is untouched, so Stream memoizations stay valid (a memoized
 // store re-marks the line dirty exactly as the scalar path would).
 func (h *Hierarchy) cleanEverywhere(blk uint64) {
 	if s := h.slotOf(blk); s >= 0 {
 		h.llc.setState(int(s), h.llc.state[s]&^stDirty)
 	}
-	for c := 0; c < h.cfg.Cores; c++ {
-		for l := 0; l < h.npriv; l++ {
-			if s, ok := h.priv[c][l].lookup(blk); ok {
-				h.priv[c][l].setState(s, h.priv[c][l].state[s]&^stDirty)
-			}
+	for _, pc := range h.priv {
+		if s, ok := pc.lookup(blk); ok {
+			pc.setState(s, pc.state[s]&^stDirty)
 		}
 	}
 }
@@ -823,11 +782,9 @@ func (h *Hierarchy) invalidateEverywhere(blk uint64) {
 	if s := h.slotOf(blk); s >= 0 {
 		h.llc.setState(int(s), 0)
 	}
-	for c := 0; c < h.cfg.Cores; c++ {
-		for l := 0; l < h.npriv; l++ {
-			if s, ok := h.priv[c][l].lookup(blk); ok {
-				h.priv[c][l].setState(s, 0)
-			}
+	for _, pc := range h.priv {
+		if s, ok := pc.lookup(blk); ok {
+			pc.setState(s, 0)
 		}
 	}
 	if h.slotOf(blk) >= 0 {
@@ -883,8 +840,8 @@ func (h *Hierarchy) Flush(addr, size uint64, op FlushOp) FlushResult {
 // (used by the copy-based "verified" campaign and the C/R baseline).
 //
 // The drain proceeds in ascending block order. Media-write order is part of
-// the determinism contract: the image's write hook (the fault injector, wear
-// and trace observers) sees every WriteBlock in sequence, so a map-ordered
+// the determinism contract: the image's write hook (the fault injector and
+// recorder) sees every WriteBlock in sequence, so a map-ordered
 // drain — as this method historically did — varied run to run on identical
 // seeds. Ascending order is reproducible and free with the flat store.
 func (h *Hierarchy) WriteBackAll() uint64 {
@@ -926,10 +883,8 @@ func (h *Hierarchy) DropAll() {
 		}
 	}
 	h.llc.invalidateAll()
-	for c := range h.priv {
-		for _, pc := range h.priv[c] {
-			pc.invalidateAll()
-		}
+	for _, pc := range h.priv {
+		pc.invalidateAll()
 	}
 }
 
@@ -946,11 +901,9 @@ func (h *Hierarchy) Reset() {
 	}
 	h.llc.invalidateAll()
 	h.llc.rng = rngSeed
-	for c := range h.priv {
-		for _, pc := range h.priv[c] {
-			pc.invalidateAll()
-			pc.rng = rngSeed
-		}
+	for _, pc := range h.priv {
+		pc.invalidateAll()
+		pc.rng = rngSeed
 	}
 	h.tick = 0
 	h.ResetStats()
@@ -1047,19 +1000,17 @@ func (h *Hierarchy) ArchValue(addr uint64, buf []byte) {
 // block is LLC-resident, every resident block has a value buffer) and
 // returns an error describing the first violation. Used by tests.
 func (h *Hierarchy) CheckInclusion() error {
-	for c := range h.priv {
-		for l, pc := range h.priv[c] {
-			for i, st := range pc.state {
-				if st&stValid == 0 {
-					continue
-				}
-				blk := pc.tags[i]
-				if _, ok := h.llc.lookup(blk); !ok {
-					return fmt.Errorf("block %#x valid in core %d level %d but not in LLC", blk, c, l)
-				}
-				if h.slotOf(blk) < 0 {
-					return fmt.Errorf("block %#x valid in core %d level %d but has no value buffer", blk, c, l)
-				}
+	for l, pc := range h.priv {
+		for i, st := range pc.state {
+			if st&stValid == 0 {
+				continue
+			}
+			blk := pc.tags[i]
+			if _, ok := h.llc.lookup(blk); !ok {
+				return fmt.Errorf("block %#x valid in level %d but not in LLC", blk, l)
+			}
+			if h.slotOf(blk) < 0 {
+				return fmt.Errorf("block %#x valid in level %d but has no value buffer", blk, l)
 			}
 		}
 	}
@@ -1108,11 +1059,9 @@ func (h *Hierarchy) CheckCounters() error {
 		}
 		return nil
 	}
-	for ci := range h.priv {
-		for l, pc := range h.priv[ci] {
-			if err := check(fmt.Sprintf("core %d %s", ci, h.cfg.Levels[l].Name), pc); err != nil {
-				return err
-			}
+	for l, pc := range h.priv {
+		if err := check(h.cfg.Levels[l].Name, pc); err != nil {
+			return err
 		}
 	}
 	return check(h.cfg.Levels[h.nlev-1].Name, h.llc)
@@ -1121,13 +1070,8 @@ func (h *Hierarchy) CheckCounters() error {
 // Occupancy returns (valid, dirty) line counts per level name for debugging.
 func (h *Hierarchy) Occupancy() map[string][2]int {
 	out := make(map[string][2]int, h.nlev)
-	for l := 0; l < h.npriv; l++ {
-		var v, d int
-		for c := range h.priv {
-			cv, cd := h.priv[c][l].countValid()
-			v += cv
-			d += cd
-		}
+	for l, pc := range h.priv {
+		v, d := pc.countValid()
 		out[h.cfg.Levels[l].Name] = [2]int{v, d}
 	}
 	v, d := h.llc.countValid()

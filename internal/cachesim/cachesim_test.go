@@ -12,8 +12,7 @@ import (
 
 func tiny() Config {
 	return Config{
-		Name:  "tiny",
-		Cores: 1,
+		Name: "tiny",
 		Levels: []LevelConfig{
 			{Name: "L1", Size: 256, Ways: 2},  // 2 sets
 			{Name: "L2", Size: 512, Ways: 2},  // 4 sets
@@ -36,10 +35,9 @@ func TestConfigValidate(t *testing.T) {
 		}
 	}
 	bad := []Config{
-		{Name: "no-cores", Cores: 0, Levels: tiny().Levels},
-		{Name: "no-levels", Cores: 1},
-		{Name: "bad-size", Cores: 1, Levels: []LevelConfig{{Size: 100, Ways: 2}}},
-		{Name: "shrinking", Cores: 1, Levels: []LevelConfig{{Size: 1024, Ways: 2}, {Size: 512, Ways: 2}}},
+		{Name: "no-levels"},
+		{Name: "bad-size", Levels: []LevelConfig{{Size: 100, Ways: 2}}},
+		{Name: "shrinking", Levels: []LevelConfig{{Size: 1024, Ways: 2}, {Size: 512, Ways: 2}}},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -220,7 +218,7 @@ func TestWriteBackAllCleansEverything(t *testing.T) {
 }
 
 func TestLRUReplacement(t *testing.T) {
-	cfg := Config{Name: "direct", Cores: 1, Levels: []LevelConfig{{Name: "L1", Size: 128, Ways: 2}}}
+	cfg := Config{Name: "direct", Levels: []LevelConfig{{Name: "L1", Size: 128, Ways: 2}}}
 	h, _ := newPair(t, cfg, 1<<16)
 	buf := make([]byte, 1)
 	// Single-level, 1 set x 2 ways for even blocks... sets=1? 128/(64*2)=1 set.
@@ -315,44 +313,6 @@ func TestArchValueMergesCacheAndMemory(t *testing.T) {
 	}
 }
 
-func TestMultiCoreCoherence(t *testing.T) {
-	cfg := tiny()
-	cfg.Cores = 2
-	h, _ := newPair(t, cfg, 1<<16)
-	// Core 0 writes, core 1 must read the value through coherence.
-	h.Store(0, 0, []byte{0x11})
-	r := make([]byte, 1)
-	h.Load(1, 0, r)
-	if r[0] != 0x11 {
-		t.Fatalf("core 1 read %#x, want 0x11", r[0])
-	}
-	// Core 1 overwrites; core 0's copy must be invalidated so a subsequent
-	// core-0 read returns the new value.
-	h.Store(1, 0, []byte{0x22})
-	h.Load(0, 0, r)
-	if r[0] != 0x22 {
-		t.Fatalf("core 0 read %#x, want 0x22", r[0])
-	}
-	if h.Stats().Invalidations == 0 {
-		t.Fatal("no coherence invalidations recorded")
-	}
-	if err := h.CheckInclusion(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMultiCoreDirtinessSurvivesInvalidation(t *testing.T) {
-	cfg := tiny()
-	cfg.Cores = 2
-	h, im := newPair(t, cfg, 1<<16)
-	h.Store(0, 0, []byte{0x33}) // dirty in core 0's L1
-	h.Store(1, 0, []byte{0x44}) // invalidates core 0's copy; dirtiness must not be lost
-	h.WriteBackAll()
-	if im.Bytes(0, 1)[0] != 0x44 {
-		t.Fatalf("durable value %#x, want 0x44", im.Bytes(0, 1)[0])
-	}
-}
-
 func TestOccupancy(t *testing.T) {
 	h, _ := newPair(t, tiny(), 1<<16)
 	h.Store(0, 0, []byte{1})
@@ -366,7 +326,7 @@ func TestOccupancy(t *testing.T) {
 }
 
 func TestSingleLevelHierarchy(t *testing.T) {
-	cfg := Config{Name: "llc-only", Cores: 1, Levels: []LevelConfig{{Name: "LLC", Size: 1024, Ways: 2}}}
+	cfg := Config{Name: "llc-only", Levels: []LevelConfig{{Name: "LLC", Size: 1024, Ways: 2}}}
 	h, im := newPair(t, cfg, 1<<16)
 	h.Store(0, 0, []byte{0x55})
 	r := make([]byte, 1)
@@ -483,23 +443,19 @@ func TestQuickSelectiveFlushIsSelective(t *testing.T) {
 	}
 }
 
-// Property: inclusion invariant holds under random mixed traffic with
-// multiple cores.
+// Property: inclusion invariant holds under random mixed traffic.
 func TestQuickInclusionInvariant(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		cfg := tiny()
-		cfg.Cores = 2
-		h, _ := newPair(t, cfg, 1<<16)
+		h, _ := newPair(t, tiny(), 1<<16)
 		buf := make([]byte, 8)
 		for i := 0; i < 500; i++ {
 			a := uint64(rng.Intn(1 << 14))
-			core := rng.Intn(2)
 			switch rng.Intn(4) {
 			case 0:
-				h.Store(core, a, buf)
+				h.Store(0, a, buf)
 			case 1:
-				h.Load(core, a, buf)
+				h.Load(0, a, buf)
 			case 2:
 				h.Flush(a, 8, CLFLUSHOPT)
 			case 3:
@@ -538,7 +494,7 @@ func TestReplacementString(t *testing.T) {
 }
 
 func TestFIFOIgnoresReuse(t *testing.T) {
-	cfg := Config{Name: "fifo", Cores: 1, Replace: FIFO,
+	cfg := Config{Name: "fifo", Replace: FIFO,
 		Levels: []LevelConfig{{Name: "L1", Size: 128, Ways: 2}}}
 	h, _ := newPair(t, cfg, 1<<16)
 	buf := make([]byte, 1)

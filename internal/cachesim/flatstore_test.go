@@ -24,7 +24,7 @@ func (r *recordingBacking) WriteBlock(addr uint64, src []byte) {
 }
 
 // The drain order is observable through the backing's write hook (tear
-// targets, wear recording), so WriteBackAll must issue media writes in
+// targets, recorded fault replay), so WriteBackAll must issue media writes in
 // ascending block order — the map-ordered drain this regression test would
 // have caught varied run to run.
 func TestWriteBackAllDrainsAscendingBlockOrder(t *testing.T) {

@@ -17,8 +17,8 @@ type Snapshot struct {
 	tick  uint64
 	stats Stats
 
-	// Concatenated per-cache arrays in fixed iteration order: each core's
-	// private levels innermost-first, then the shared LLC.
+	// Concatenated per-cache arrays in fixed iteration order: the private
+	// levels innermost-first, then the LLC.
 	tags  []uint64
 	state []uint8
 	lru   []uint64
@@ -30,10 +30,8 @@ type Snapshot struct {
 
 // eachCache visits every tag array in the fixed snapshot order.
 func (h *Hierarchy) eachCache(fn func(c *cache)) {
-	for c := range h.priv {
-		for _, pc := range h.priv[c] {
-			fn(pc)
-		}
+	for _, pc := range h.priv {
+		fn(pc)
 	}
 	fn(h.llc)
 }
@@ -47,7 +45,7 @@ func (h *Hierarchy) Snapshot() *Snapshot {
 	s.tags = make([]uint64, 0, total)
 	s.state = make([]uint8, 0, total)
 	s.lru = make([]uint64, 0, total)
-	s.rngs = make([]uint64, 0, h.cfg.Cores*h.npriv+1)
+	s.rngs = make([]uint64, 0, h.nlev)
 	h.eachCache(func(c *cache) {
 		s.tags = append(s.tags, c.tags...)
 		s.state = append(s.state, c.state...)

@@ -4,29 +4,28 @@ import "encoding/binary"
 
 // Stream is a memoizing access cursor for stride-regular 8-byte element
 // traffic. It caches the innermost residency of the last block it touched —
-// the tag array and way slot the block occupied in the issuing core's L1 (or
-// the LLC when there are no private levels) — so consecutive accesses to the
-// same 64 B block skip the hierarchy walk: the fast path is a tick, a
-// Hits[0] count, an LRU touch and the data copy, exactly the effects the
-// scalar path's innermost-level hit would have had.
+// the tag array and way slot the block occupied in the L1 (or the LLC when
+// there are no private levels) — so consecutive accesses to the same 64 B
+// block skip the hierarchy walk: the fast path is a tick, a Hits[0] count, an
+// LRU touch and the data copy, exactly the effects the scalar path's
+// innermost-level hit would have had.
 //
 // The memo is self-validating, like the per-set way-prediction hint: the
 // fast path re-checks that the memoized way still holds the block's tag with
 // the valid bit set, and re-reads the block's arena slot through the flat
-// store (a single array read). A valid tag in the issuing core's innermost
-// level proves residency, and inclusion guarantees the arena slot is
-// current, so no global invalidation protocol is needed — evictions,
-// refills, resets and snapshot resumes all naturally fail the tag check (or
-// redirect the arena read) and fall back to the full scalar path. A Stream
-// is therefore access-for-access equivalent to per-element Load/Store calls,
-// which is what lets digest-pinned kernels migrate onto it.
+// store (a single array read). A valid tag in the innermost level proves
+// residency, and inclusion guarantees the arena slot is current, so no global
+// invalidation protocol is needed — evictions, refills, resets and snapshot
+// resumes all naturally fail the tag check (or redirect the arena read) and
+// fall back to the full scalar path. A Stream is therefore access-for-access
+// equivalent to per-element Load/Store calls, which is what lets
+// digest-pinned kernels migrate onto it.
 //
 // Streams are single-goroutine cursors over one hierarchy; any number may be
 // live at once (kernels keep one per stencil arm, so each stream sees
 // block-local traffic even when the loop interleaves several arrays).
 type Stream struct {
 	h     *Hierarchy
-	core  int
 	blk   uint64
 	inner *cache
 	slot  int
@@ -39,43 +38,42 @@ func (h *Hierarchy) NewStream() Stream {
 	return Stream{h: h}
 }
 
-// hit reports whether the memoized residency is current for (core, blk).
-func (s *Stream) hit(core int, blk uint64) bool {
-	return s.inner != nil && s.blk == blk && s.core == core &&
+// hit reports whether the memoized residency is current for blk.
+func (s *Stream) hit(blk uint64) bool {
+	return s.inner != nil && s.blk == blk &&
 		s.inner.tags[s.slot] == blk && s.inner.state[s.slot]&stValid != 0
 }
 
-// Load8 reads the 8-byte element at addr on the given core, equivalent to
-// an 8-byte Load. The value is returned in little-endian byte order,
-// matching the typed views layered above the hierarchy.
-func (s *Stream) Load8(core int, addr uint64) uint64 {
+// Load8 reads the 8-byte element at addr, equivalent to an 8-byte Load (whose
+// doc covers the reserved leading int). The value is returned in little-endian
+// byte order, matching the typed views layered above the hierarchy.
+func (s *Stream) Load8(_ int, addr uint64) uint64 {
 	h := s.h
 	h.stats.Loads++
 	blk := addr >> blockShift
-	if s.hit(core, blk) {
+	if s.hit(blk) {
 		h.tick++
 		s.inner.touch(s.slot, h.tick)
 		h.stats.Hits[0]++
 		return binary.LittleEndian.Uint64(h.blockData(blk)[addr&(BlockSize-1):])
 	}
-	return s.loadSlow(core, blk, addr)
+	return s.loadSlow(blk, addr)
 }
 
-func (s *Stream) loadSlow(core int, blk, addr uint64) uint64 {
+func (s *Stream) loadSlow(blk, addr uint64) uint64 {
 	h := s.h
 	h.tick++
-	data, inner, slot := h.ensureResident(core, blk)
-	s.memoize(core, blk, inner, slot)
+	data, inner, slot := h.ensureResident(blk)
+	s.memoize(blk, inner, slot)
 	return binary.LittleEndian.Uint64(data[addr&(BlockSize-1):])
 }
 
-// Store8 writes the 8-byte element at addr on the given core, equivalent to
-// an 8-byte Store.
-func (s *Stream) Store8(core int, addr uint64, v uint64) {
+// Store8 writes the 8-byte element at addr, equivalent to an 8-byte Store.
+func (s *Stream) Store8(_ int, addr uint64, v uint64) {
 	h := s.h
 	h.stats.Stores++
 	blk := addr >> blockShift
-	if s.hit(core, blk) {
+	if s.hit(blk) {
 		h.tick++
 		s.inner.touch(s.slot, h.tick)
 		h.stats.Hits[0]++
@@ -83,31 +81,24 @@ func (s *Stream) Store8(core int, addr uint64, v uint64) {
 		if st := s.inner.state[s.slot]; st&stDirty == 0 {
 			s.inner.setState(s.slot, st|stDirty)
 		}
-		if h.cfg.Cores > 1 {
-			h.invalidateOthers(core, blk)
-		}
 		return
 	}
-	s.storeSlow(core, blk, addr, v)
+	s.storeSlow(blk, addr, v)
 }
 
-func (s *Stream) storeSlow(core int, blk, addr uint64, v uint64) {
+func (s *Stream) storeSlow(blk, addr uint64, v uint64) {
 	h := s.h
 	h.tick++
-	data, inner, slot := h.ensureResident(core, blk)
+	data, inner, slot := h.ensureResident(blk)
 	binary.LittleEndian.PutUint64(data[addr&(BlockSize-1):], v)
 	if st := inner.state[slot]; st&stDirty == 0 {
 		inner.setState(slot, st|stDirty)
 	}
-	if h.cfg.Cores > 1 {
-		h.invalidateOthers(core, blk)
-	}
-	s.memoize(core, blk, inner, slot)
+	s.memoize(blk, inner, slot)
 }
 
 // memoize captures the innermost residency the access just resolved.
-func (s *Stream) memoize(core int, blk uint64, inner *cache, slot int) {
-	s.core = core
+func (s *Stream) memoize(blk uint64, inner *cache, slot int) {
 	s.blk = blk
 	s.inner = inner
 	s.slot = slot

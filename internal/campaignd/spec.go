@@ -24,6 +24,7 @@ package campaignd
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"strconv"
@@ -50,6 +51,72 @@ type Spec struct {
 	// Opts are the campaign options. Opts.Parallel applies within each
 	// worker; the supervisor's shard concurrency is separate.
 	Opts nvct.CampaignOpts `json:"opts"`
+}
+
+// RegisterSpecFlags registers on fs the flags that describe the campaign
+// itself (as opposed to its supervision or reporting) and returns the function
+// that, once the flag set is parsed, validates them into a Spec. cmd/nvct and
+// cmd/campaignrunner share this one block — defaultParallel is the only value
+// they differ on — so the command ReproArgs renders parses back into the spec
+// that produced it.
+func RegisterSpecFlags(fs *flag.FlagSet, defaultParallel int) func() (*Spec, error) {
+	var (
+		kernel   = fs.String("kernel", "mg", "kernel to test (nvct -list names them)")
+		tests    = fs.Int("tests", 200, "crash tests in the campaign (> 0)")
+		seed     = fs.Int64("seed", 1, "campaign seed")
+		persist  = fs.String("persist", "", "comma-separated data objects to persist (empty: none)")
+		regions  = fs.String("regions", "", "comma-separated region ids to flush at (empty with -persist: every iteration end)")
+		everyIt  = fs.Bool("every-iteration", false, "also flush at iteration ends")
+		freq     = fs.Int64("frequency", 1, "persist every x iterations (>= 1)")
+		verified = fs.Bool("verified", false, "run the copy-based verified campaign variant")
+		duringP  = fs.Bool("during-persistence", false, "make persistence flushes crash-eligible")
+		parallel = fs.Int("parallel", defaultParallel, "concurrent crash tests per process (0: GOMAXPROCS, 1: serial)")
+		profile  = fs.String("profile", "test", "problem size: test | bench")
+		cache    = fs.String("cache", "test", "cache geometry: test | paper")
+	)
+	faultFlags := cli.RegisterFaultFlags(fs, true)
+	nestedFlags := cli.RegisterNestedFlags(fs)
+	return func() (*Spec, error) {
+		if *tests <= 0 {
+			return nil, fmt.Errorf("-tests must be positive, got %d", *tests)
+		}
+		if *freq < 1 {
+			return nil, fmt.Errorf("-frequency must be >= 1, got %d", *freq)
+		}
+		if *parallel < 0 {
+			return nil, fmt.Errorf("-parallel must be >= 0, got %d", *parallel)
+		}
+		faults, err := faultFlags.Config()
+		if err != nil {
+			return nil, err
+		}
+		if err := nestedFlags.Validate(); err != nil {
+			return nil, err
+		}
+		policy, err := cli.BuildPolicy(*persist, *regions, *everyIt, *freq)
+		if err != nil {
+			return nil, err
+		}
+		return &Spec{
+			Kernel:  *kernel,
+			Profile: *profile,
+			Cache:   *cache,
+			Policy:  policy,
+			Opts: nvct.CampaignOpts{
+				Tests:                  *tests,
+				Seed:                   *seed,
+				Verified:               *verified,
+				Parallel:               *parallel,
+				CrashDuringPersistence: *duringP,
+				Faults:                 faults,
+				ScrubOnRestart:         faultFlags.Scrub,
+				TestTimeout:            faultFlags.Timeout,
+				RecrashDepth:           nestedFlags.Depth,
+				RetryBudget:            nestedFlags.Budget,
+				TrialDeadline:          nestedFlags.Deadline,
+			},
+		}, nil
+	}
 }
 
 // Validate checks the spec before it is written for workers.
@@ -145,16 +212,15 @@ func (s *Spec) ReproArgs(trial int) []string {
 	if s.Opts.CrashDuringPersistence {
 		args = append(args, "-during-persistence")
 	}
-	if f := s.Opts.Faults; f.Enabled() {
-		if f.RBER > 0 {
-			args = append(args, "-rber", strconv.FormatFloat(f.RBER, 'g', -1, 64))
-		}
-		if f.TornWrites {
-			args = append(args, "-torn")
-		}
-		if f.ECC.CorrectBits > 0 || f.ECC.DetectBits > 0 {
-			args = append(args, "-ecc", strconv.Itoa(f.ECC.CorrectBits), "-ecc-detect", strconv.Itoa(f.ECC.DetectBits))
-		}
+	f := s.Opts.Faults
+	if f.RBER > 0 {
+		args = append(args, "-rber", strconv.FormatFloat(f.RBER, 'g', -1, 64))
+	}
+	if f.TornWrites {
+		args = append(args, "-torn")
+	}
+	if f.ECC.Enabled() {
+		args = append(args, "-ecc", strconv.Itoa(f.ECC.CorrectBits), "-ecc-detect", strconv.Itoa(f.ECC.DetectBits))
 	}
 	if s.Opts.ScrubOnRestart {
 		args = append(args, "-scrub")

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -69,6 +70,25 @@ func testConfig(t *testing.T, spec *campaignd.Spec, shards int) campaignd.Config
 		BackoffBase:   10 * time.Millisecond,
 		BackoffCap:    50 * time.Millisecond,
 	}
+}
+
+// lockedBuffer is a log sink the supervisor's shard goroutines can share:
+// Config.Log is written from all of them at once.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 func reportJSON(t *testing.T, rep *nvct.Report) []byte {
@@ -159,7 +179,7 @@ func TestChaosRecovery(t *testing.T) {
 	// single-core machine under the race detector the supervisor can fall
 	// ~600ms behind in *observing* those beats, and a sub-second timeout
 	// kills healthy workers.
-	var logBuf bytes.Buffer
+	var logBuf lockedBuffer
 	cfg.Log = &logBuf
 
 	res, err := campaignd.Run(context.Background(), cfg)

@@ -37,6 +37,9 @@ import (
 	"easycrash/internal/stats"
 )
 
+// pThreshold is the Step-2 Spearman p-value cutoff (the paper's 0.01).
+const pThreshold = 0.01
+
 // Config parameterises the framework.
 type Config struct {
 	// Ts is the runtime-overhead budget as a fraction of execution time
@@ -46,11 +49,6 @@ type Config struct {
 	// plain checkpoint/restart (§5.2, derived from the system model).
 	// Zero means no requirement.
 	Tau float64
-	// PThreshold is the Spearman p-value cutoff; zero means 0.01.
-	PThreshold float64
-	// Correlation selects the rank-correlation test for Step 2:
-	// "spearman" (default, the paper's choice) or "kendall".
-	Correlation string
 	// Tester configures the simulated machine.
 	Tester nvct.Config
 	// Tests is the campaign size per step; zero means 100.
@@ -91,9 +89,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Ts == 0 {
 		c.Ts = 0.03
-	}
-	if c.PThreshold == 0 {
-		c.PThreshold = 0.01
 	}
 	if c.Tests == 0 {
 		c.Tests = 100
@@ -221,7 +216,7 @@ func RunWithTesterContext(ctx context.Context, tester *nvct.Tester, cfg Config) 
 	res.BaselineY = res.Baseline.Recomputability()
 
 	// Step 2: select critical data objects.
-	res.Objects, res.Critical = SelectObjectsWith(res.Baseline, cfg.PThreshold, cfg.Correlation)
+	res.Objects, res.Critical = SelectObjects(res.Baseline, pThreshold)
 	if len(res.Critical) == 0 {
 		// The correlation cannot discriminate (e.g. the baseline never
 		// recomputes, so the outcome vector is constant). Fall back to all

@@ -34,7 +34,6 @@ type Image struct {
 	data         []byte
 	blockWrites  uint64
 	bytesWritten uint64
-	wear         *WearMap
 	writeHook    WriteHook
 	poisoned     map[uint64]struct{} // block base addrs that read as uncorrectable
 
@@ -106,9 +105,6 @@ func (im *Image) WriteBlock(addr uint64, src []byte) {
 	im.bytesWritten += BlockSize
 	if im.snapDirty != nil {
 		im.snapDirty[base>>snapPageShift] = true
-	}
-	if im.wear != nil {
-		im.wear.record(base)
 	}
 }
 
@@ -343,13 +339,13 @@ func (im *Image) RestoreSnapshot(s *ImageSnapshot) {
 }
 
 // Reset returns the image to its as-constructed state: all-zero contents,
-// zero write counters, no poison, and no wear map or write hook attached.
+// zero write counters, no poison, and no write hook attached.
 // Campaign workers use it to recycle one image across crash tests instead of
 // allocating a fresh one per test.
 func (im *Image) Reset() { im.ResetPrefix(im.Size()) }
 
 // ResetPrefix is Reset but only zeroes the first n bytes of contents (rounded
-// up to a whole block). Counters, poison, wear and hook are fully reset
+// up to a whole block). Counters, poison and hook are fully reset
 // regardless of n. Callers that know the high-water mark of past writes (for
 // a Space, its Extent) avoid re-zeroing untouched capacity.
 func (im *Image) ResetPrefix(n uint64) {
@@ -360,7 +356,6 @@ func (im *Image) ResetPrefix(n uint64) {
 	clear(im.data[:n])
 	im.blockWrites, im.bytesWritten = 0, 0
 	im.poisoned = nil
-	im.wear = nil
 	im.writeHook = nil
 	im.snapDirty = nil
 	im.lastFork = nil

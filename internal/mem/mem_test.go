@@ -244,53 +244,3 @@ func TestQuickSnapshotRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestWearTracking(t *testing.T) {
-	im := NewImage(1 << 12)
-	w := im.EnableWearTracking()
-	blk := make([]byte, BlockSize)
-	for i := 0; i < 10; i++ {
-		im.WriteBlock(0, blk) // hot block
-	}
-	im.WriteBlock(64, blk)
-	im.WriteBlock(128, blk)
-	if w.TouchedBlocks() != 3 {
-		t.Fatalf("TouchedBlocks = %d", w.TouchedBlocks())
-	}
-	if w.MaxWrites() != 10 || w.TotalWrites() != 12 {
-		t.Fatalf("max/total = %d/%d", w.MaxWrites(), w.TotalWrites())
-	}
-	if w.HottestIn(0, 64) != 10 || w.HottestIn(64, 128) != 1 {
-		t.Fatal("HottestIn attribution wrong")
-	}
-	if w.WritesIn(0, 192) != 12 || w.WritesIn(64, 64) != 1 || w.WritesIn(0, 0) != 0 {
-		t.Fatal("WritesIn attribution wrong")
-	}
-	// Skewed distribution: Gini well above zero.
-	if g := w.Gini(); g < 0.3 || g > 1 {
-		t.Fatalf("Gini = %v", g)
-	}
-	im.DisableWearTracking()
-	im.WriteBlock(0, blk)
-	if w.TotalWrites() != 12 {
-		t.Fatal("write recorded after disable")
-	}
-}
-
-func TestWearGiniExtremes(t *testing.T) {
-	im := NewImage(1 << 12)
-	w := im.EnableWearTracking()
-	if w.Gini() != 0 {
-		t.Fatal("empty map Gini != 0")
-	}
-	blk := make([]byte, BlockSize)
-	// Perfectly even wear over 8 blocks.
-	for i := 0; i < 8; i++ {
-		for j := 0; j < 5; j++ {
-			im.WriteBlock(uint64(i)*BlockSize, blk)
-		}
-	}
-	if g := w.Gini(); g > 1e-9 {
-		t.Fatalf("even wear Gini = %v, want 0", g)
-	}
-}

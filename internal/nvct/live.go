@@ -116,7 +116,7 @@ func (t *Tester) runToCrash(k apps.Kernel, m *sim.Machine) (crash *sim.Crash) {
 			crash = c
 		}
 	}()
-	_, _ = k.Run(m, 0, t.iterBudget(t.golden.Iters))
+	_, _ = k.Run(m, 0, iterBudget(t.golden.Iters))
 	return nil
 }
 

@@ -129,16 +129,18 @@ func (pp *policyPersister) IterationEnd(m *sim.Machine, it int64) {
 	m.Hierarchy().Flush(pp.iterObj.Addr, pp.iterObj.Size, cachesim.CLWB)
 }
 
+const (
+	// nvmBytes is the simulated NVM capacity of every tester machine.
+	nvmBytes = 64 << 20
+	// maxIterFactor bounds restarted runs at maxIterFactor*golden iterations
+	// (paper: verification failure is declared after 2x).
+	maxIterFactor = 2
+)
+
 // Config configures a Tester.
 type Config struct {
 	// Cache is the cache geometry; zero value means cachesim.TestConfig.
 	Cache cachesim.Config
-	// NVMBytes is the simulated NVM capacity; 0 means 64 MiB.
-	NVMBytes uint64
-	// MaxIterFactor bounds restarted runs at MaxIterFactor*golden
-	// iterations (paper: verification failure is declared after 2x);
-	// 0 means 2.
-	MaxIterFactor float64
 	// ScalarAccess forces every machine the tester runs down the
 	// per-element scalar access path instead of the batched engine. The two
 	// must be behaviourally indistinguishable; equivalence tests run
@@ -149,12 +151,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Cache.Levels == nil {
 		c.Cache = cachesim.TestConfig()
-	}
-	if c.NVMBytes == 0 {
-		c.NVMBytes = 64 << 20
-	}
-	if c.MaxIterFactor == 0 {
-		c.MaxIterFactor = 2
 	}
 	return c
 }
@@ -211,7 +207,7 @@ func (t *Tester) getMachine() *sim.Machine {
 		m.SetScalarAccess(t.cfg.ScalarAccess)
 		return m
 	}
-	m := sim.NewMachine(t.cfg.NVMBytes, t.cfg.Cache)
+	m := sim.NewMachine(nvmBytes, t.cfg.Cache)
 	m.SetScalarAccess(t.cfg.ScalarAccess)
 	return m
 }
@@ -272,10 +268,8 @@ func (t *Tester) Name() string { return t.name }
 // Config returns the effective configuration.
 func (t *Tester) Config() Config { return t.cfg }
 
-// iterBudget bounds a run at MaxIterFactor times the given iteration count.
-func (t *Tester) iterBudget(iters int64) int64 {
-	return int64(float64(iters) * t.cfg.MaxIterFactor)
-}
+// iterBudget bounds a run at maxIterFactor times the given iteration count.
+func iterBudget(iters int64) int64 { return iters * maxIterFactor }
 
 // undisturbed executes one crash-free run and profiles it: the golden run,
 // the performance model's profile runs and the crash-eligible tick count all
@@ -293,7 +287,7 @@ func (t *Tester) undisturbed(what string, flushTicks bool, makePersister func(*s
 	m.SetFlushCrashEligible(flushTicks)
 	m.SetPersister(makePersister(m, k))
 	m.Image().ResetWriteCounters()
-	executed, err := k.Run(m, 0, t.iterBudget(k.NominalIters()))
+	executed, err := k.Run(m, 0, iterBudget(k.NominalIters()))
 	if err != nil {
 		return Golden{}, fmt.Errorf("nvct: %s run of %s failed: %w", what, k.Name(), err)
 	}

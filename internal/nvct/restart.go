@@ -288,7 +288,7 @@ func (t *Tester) runRecovery(k apps.Kernel, m *sim.Machine, from int64, armed bo
 			end.failed = true
 		}
 	}()
-	executed, err := k.Run(m, from, t.iterBudget(t.golden.Iters))
+	executed, err := k.Run(m, from, iterBudget(t.golden.Iters))
 	return recoveryEnd{executed: executed, failed: err != nil}
 }
 

@@ -188,7 +188,7 @@ func (r *campaignRun) runTree() {
 		if len(order) > 0 {
 			m.SetCrashAfter(trials[order[0]].point)
 		}
-		_, _ = k.Run(m, 0, t.iterBudget(t.golden.Iters))
+		_, _ = k.Run(m, 0, iterBudget(t.golden.Iters))
 		return true
 	}()
 	close(jobs)

@@ -102,10 +102,10 @@ func (m *Machine) loadRun(addr uint64, span uint64) []byte {
 	buf := m.runBytes(int(span) * 8)
 	m.bulkAccount(span)
 	if span > 1 {
-		m.hier.LoadRun(m.core, addr, buf[:(span-1)*8])
+		m.hier.LoadRun(0, addr, buf[:(span-1)*8])
 	}
 	m.resyncWrites()
-	m.hier.Load(m.core, addr+(span-1)*8, buf[(span-1)*8:])
+	m.hier.Load(0, addr+(span-1)*8, buf[(span-1)*8:])
 	return buf
 }
 
@@ -114,10 +114,10 @@ func (m *Machine) loadRun(addr uint64, span uint64) []byte {
 func (m *Machine) storeRun(addr uint64, span uint64, buf []byte) {
 	m.bulkAccount(span)
 	if span > 1 {
-		m.hier.StoreRun(m.core, addr, buf[:(span-1)*8])
+		m.hier.StoreRun(0, addr, buf[:(span-1)*8])
 	}
 	m.resyncWrites()
-	m.hier.Store(m.core, addr+(span-1)*8, buf[(span-1)*8:])
+	m.hier.Store(0, addr+(span-1)*8, buf[(span-1)*8:])
 }
 
 // LoadRun loads elements [i, i+len(dst)) of the slice into dst, equivalent
@@ -276,7 +276,7 @@ func (s *F64Stream) At(i int) float64 {
 		return m.LoadF64(addr)
 	}
 	m.account()
-	return math.Float64frombits(s.st.Load8(m.core, addr))
+	return math.Float64frombits(s.st.Load8(0, addr))
 }
 
 // Set stores element i.
@@ -288,7 +288,7 @@ func (s *F64Stream) Set(i int, v float64) {
 		return
 	}
 	m.account()
-	s.st.Store8(m.core, addr, math.Float64bits(v))
+	s.st.Store8(0, addr, math.Float64bits(v))
 }
 
 // I64Stream is the int64 counterpart of F64Stream.
@@ -318,7 +318,7 @@ func (s *I64Stream) At(i int) int64 {
 		return m.LoadI64(addr)
 	}
 	m.account()
-	return int64(s.st.Load8(m.core, addr))
+	return int64(s.st.Load8(0, addr))
 }
 
 // Set stores element i.
@@ -330,5 +330,5 @@ func (s *I64Stream) Set(i int, v int64) {
 		return
 	}
 	m.account()
-	s.st.Store8(m.core, addr, uint64(v))
+	s.st.Store8(0, addr, uint64(v))
 }

@@ -17,8 +17,7 @@ import (
 // pressure, the hardest regime for the memoized fast paths.
 func batchTestConfig() cachesim.Config {
 	return cachesim.Config{
-		Name:  "batch-tiny",
-		Cores: 1,
+		Name: "batch-tiny",
 		Levels: []cachesim.LevelConfig{
 			{Name: "L1", Size: 512, Ways: 2},
 			{Name: "L2", Size: 2 << 10, Ways: 4},

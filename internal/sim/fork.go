@@ -20,7 +20,6 @@ type Snapshot struct {
 	img  *mem.ImageSnapshot
 	hier *cachesim.Snapshot
 
-	core         int
 	inMainLoop   bool
 	mainAccess   uint64
 	region       int
@@ -60,7 +59,6 @@ func (m *Machine) Fork() *Snapshot {
 	return &Snapshot{
 		img:          m.space.Image().Fork(m.space.Extent()),
 		hier:         m.hier.Snapshot(),
-		core:         m.core,
 		inMainLoop:   m.inMainLoop,
 		mainAccess:   m.mainAccess,
 		region:       m.region,
@@ -81,7 +79,6 @@ func (m *Machine) Fork() *Snapshot {
 func (m *Machine) ResumeFrom(s *Snapshot) {
 	m.space.Image().RestoreSnapshot(s.img)
 	m.hier.ResumeFrom(s.hier)
-	m.core = s.core
 	m.inMainLoop = s.inMainLoop
 	m.mainAccess = s.mainAccess
 	m.crashAt = 0

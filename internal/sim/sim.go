@@ -80,8 +80,6 @@ type Machine struct {
 	space *mem.Space
 	hier  *cachesim.Hierarchy
 
-	core int // current core issuing accesses
-
 	inMainLoop bool
 	mainAccess uint64 // demand accesses issued inside the main loop
 	crashAt    uint64 // fire a crash when mainAccess reaches this; 0 = never
@@ -172,7 +170,6 @@ func NewMachine(nvmBytes uint64, cfg cachesim.Config) *Machine {
 func (m *Machine) Reset() {
 	m.space.Reset() // also detaches any write hook on the image
 	m.hier.Reset()
-	m.core = 0
 	m.inMainLoop = false
 	m.mainAccess = 0
 	m.crashAt = 0
@@ -289,10 +286,6 @@ func (m *Machine) CrashWithFaults() faultmodel.Injection {
 	return m.faults.ApplyCrash(m.space.Image(), m.space.Extent())
 }
 
-// OnCore directs subsequent accesses to the given core (for multi-core
-// cache configurations).
-func (m *Machine) OnCore(core int) { m.core = core }
-
 // SetCrashAfter arms a crash to fire when the n-th demand access inside the
 // main loop is issued (1-based). n = 0 disarms.
 func (m *Machine) SetCrashAfter(n uint64) { m.crashAt = n }
@@ -380,9 +373,6 @@ func (m *Machine) EndRegion(k int) {
 // Region returns the currently active region, or NoRegion.
 func (m *Machine) Region() int { return m.region }
 
-// CurrentIteration returns the iteration recorded by BeginIteration.
-func (m *Machine) CurrentIteration() int64 { return m.iter }
-
 // account counts one demand access and fires the armed crash if reached.
 func (m *Machine) account() {
 	if !m.inMainLoop {
@@ -428,7 +418,7 @@ func (m *Machine) account() {
 // LoadF64 loads a float64 through the cache.
 func (m *Machine) LoadF64(addr uint64) float64 {
 	m.account()
-	m.hier.Load(m.core, addr, m.buf[:])
+	m.hier.Load(0, addr, m.buf[:])
 	if m.observer != nil {
 		m.observer.Access(addr, 8, false)
 	}
@@ -439,7 +429,7 @@ func (m *Machine) LoadF64(addr uint64) float64 {
 func (m *Machine) StoreF64(addr uint64, v float64) {
 	m.account()
 	binary.LittleEndian.PutUint64(m.buf[:], math.Float64bits(v))
-	m.hier.Store(m.core, addr, m.buf[:])
+	m.hier.Store(0, addr, m.buf[:])
 	if m.observer != nil {
 		m.observer.Access(addr, 8, true)
 	}
@@ -448,7 +438,7 @@ func (m *Machine) StoreF64(addr uint64, v float64) {
 // LoadI64 loads an int64 through the cache.
 func (m *Machine) LoadI64(addr uint64) int64 {
 	m.account()
-	m.hier.Load(m.core, addr, m.buf[:])
+	m.hier.Load(0, addr, m.buf[:])
 	if m.observer != nil {
 		m.observer.Access(addr, 8, false)
 	}
@@ -459,7 +449,7 @@ func (m *Machine) LoadI64(addr uint64) int64 {
 func (m *Machine) StoreI64(addr uint64, v int64) {
 	m.account()
 	binary.LittleEndian.PutUint64(m.buf[:], uint64(v))
-	m.hier.Store(m.core, addr, m.buf[:])
+	m.hier.Store(0, addr, m.buf[:])
 	if m.observer != nil {
 		m.observer.Access(addr, 8, true)
 	}
@@ -623,6 +613,6 @@ func (m *Machine) RestoreObject(o mem.Object, data []byte) {
 		if end > o.Size {
 			end = o.Size
 		}
-		m.hier.Store(m.core, o.Addr+off, data[off:end])
+		m.hier.Store(0, o.Addr+off, data[off:end])
 	}
 }

@@ -207,19 +207,6 @@ func TestFlushTrafficIsNotDemandTraffic(t *testing.T) {
 	}
 }
 
-func TestMultiCoreAccessors(t *testing.T) {
-	cfg := cachesim.TestConfig()
-	cfg.Cores = 2
-	m := NewMachine(1<<20, cfg)
-	o := m.Space().AllocF64("x", 8, true)
-	m.OnCore(0)
-	m.F64(o).Set(0, 3.25)
-	m.OnCore(1)
-	if got := m.F64(o).At(0); got != 3.25 {
-		t.Fatalf("core 1 read %v", got)
-	}
-}
-
 type countingObserver struct {
 	loads, stores int
 	lastAddr      uint64
