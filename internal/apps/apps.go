@@ -83,7 +83,7 @@ type Profile int
 
 const (
 	// ProfileTest is sized for fast crash-test campaigns against
-	// cachesim.TestConfig (footprint a few times the 64 KiB test LLC).
+	// cachesim.TestConfig (footprint a few times the 32 KiB test LLC).
 	ProfileTest Profile = iota
 	// ProfileBench is sized for the benchmark harness (larger footprint,
 	// longer runs; still far smaller than the paper's Class C, scaled with

@@ -193,12 +193,14 @@ const (
 
 // cache is one tag array (data lives in the shared hierarchy block store).
 type cache struct {
-	ways    int
-	nsets   uint64
+	ways  int
+	nsets uint64
+	// pow2 is decided once from the geometry: a power-of-two set count
+	// indexes by mask, any other (PaperConfig's 1365-set L2) by modulo.
+	pow2    bool
 	tags    []uint64
 	state   []uint8
-	lru     []uint64 // LRU: last-touch tick; FIFO: insertion tick
-	mru     []int32  // per-set way-prediction hint: way of the last hit/insert
+	lru     []uint64 // LRU: last-touch tick; FIFO: insertion tick; 0 = invalid way
 	replace Replacement
 	rng     uint64 // xorshift state for Random replacement
 
@@ -218,46 +220,60 @@ func newCache(lc LevelConfig, replace Replacement) *cache {
 	return &cache{
 		ways:    lc.Ways,
 		nsets:   uint64(n),
+		pow2:    n&(n-1) == 0,
 		tags:    make([]uint64, n*lc.Ways),
 		state:   make([]uint8, n*lc.Ways),
 		lru:     make([]uint64, n*lc.Ways),
-		mru:     make([]int32, n),
 		replace: replace,
 		rng:     rngSeed,
 	}
 }
 
-// lookup returns the way slot index for blk and whether it is resident.
-//
-// The per-set MRU hint is checked before the set scan: stride-regular
-// streams hit the same way repeatedly, so the common case is a single tag
-// compare. The hint is self-validating (tag + valid bit), so it never needs
-// resetting or snapshot capture — a stale hint only costs the scan it would
-// have cost anyway.
-func (c *cache) lookup(blk uint64) (int, bool) {
-	set := int(blk % c.nsets)
-	base := set * c.ways
-	if i := base + int(c.mru[set]); c.tags[i] == blk && c.state[i]&stValid != 0 {
-		return i, true
+// setBase returns the way slot of the first way of blk's set.
+func (c *cache) setBase(blk uint64) int {
+	if c.pow2 {
+		return int(blk&(c.nsets-1)) * c.ways
 	}
-	for w := 0; w < c.ways; w++ {
-		i := base + w
+	return int(blk%c.nsets) * c.ways
+}
+
+// scan returns the way slot holding blk, or -1, by comparing the tags of
+// blk's set. It is the audit's probe (CheckInclusion): the access path finds
+// residency through the slot table and the inclusion directory and never
+// scans.
+func (c *cache) scan(blk uint64) int {
+	base := c.setBase(blk)
+	for i := base; i < base+c.ways; i++ {
 		if c.state[i]&stValid != 0 && c.tags[i] == blk {
-			c.mru[set] = int32(w)
-			return i, true
+			return i
 		}
 	}
-	return -1, false
+	return -1
 }
 
 // setState writes a way's state flags, maintaining the incremental
 // valid/dirty line counters. Every state mutation must go through here
-// (or invalidateAll/recount, which reset the counters wholesale).
+// (or clearState/recount, which reset the counters wholesale).
 func (c *cache) setState(i int, st uint8) {
 	old := c.state[i]
 	c.state[i] = st
 	c.valid += int(st&stValid) - int(old&stValid)
 	c.dirty += int((st&stDirty)>>1) - int((old&stDirty)>>1)
+}
+
+// fill makes way i hold blk, clean, inserted at tick.
+func (c *cache) fill(i int, blk, tick uint64) {
+	c.tags[i] = blk
+	c.setState(i, stValid)
+	c.lru[i] = tick
+}
+
+// invalidate empties way i. An invalid way sits at recency 0, below every
+// valid way (the recency clock is at least 1 at any fill), which is what
+// lets victimSlot prefer invalid ways without looking at the state flags.
+func (c *cache) invalidate(i int) {
+	c.setState(i, 0)
+	c.lru[i] = 0
 }
 
 // recount rebuilds the incremental counters from a full scan, after the
@@ -274,21 +290,22 @@ func (c *cache) recount() {
 	}
 }
 
-// victimSlot returns the slot to fill for blk: an invalid way if one
-// exists, otherwise the way the replacement policy selects.
+// victimSlot returns the slot to fill for blk in one pass over the set's
+// recency words: the first invalid way (recency 0) if one exists, otherwise
+// the way the replacement policy selects.
 func (c *cache) victimSlot(blk uint64) int {
-	base := int(blk%c.nsets) * c.ways
-	best, bestTick := base, ^uint64(0)
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if c.state[i]&stValid == 0 {
-			return i
+	base := c.setBase(blk)
+	set := c.lru[base : base+c.ways]
+	best, bestTick := 0, set[0]
+	for w := 1; w < len(set); w++ {
+		// Two single-value updates, so each compiles to a conditional move:
+		// which way is oldest is data-dependent and a branch mispredicts.
+		if set[w] < bestTick {
+			best = w
 		}
-		if c.lru[i] < bestTick {
-			best, bestTick = i, c.lru[i]
-		}
+		bestTick = min(bestTick, set[w])
 	}
-	if c.replace == Random {
+	if bestTick != 0 && c.replace == Random {
 		c.rng ^= c.rng << 13
 		c.rng ^= c.rng >> 7
 		c.rng ^= c.rng << 17
@@ -296,7 +313,7 @@ func (c *cache) victimSlot(blk uint64) int {
 	}
 	// LRU and FIFO both evict the smallest tick; they differ in whether
 	// hits refresh it (see touch).
-	return best
+	return base + best
 }
 
 // touch refreshes a way's recency on a hit (LRU only; FIFO and Random keep
@@ -307,10 +324,11 @@ func (c *cache) touch(slot int, tick uint64) {
 	}
 }
 
-func (c *cache) invalidateAll() {
-	for i := range c.state {
-		c.state[i] = 0
-	}
+// clearState drops every way's flags and the line counters. The recency of
+// the ways that were valid is the caller's to zero (DropAll does, in the walk
+// it makes over them anyway).
+func (c *cache) clearState() {
+	clear(c.state)
 	c.valid, c.dirty = 0, 0
 }
 
@@ -325,9 +343,10 @@ func (c *cache) countValid() (valid, dirty int) {
 // Block values live in a flat, direct-indexed store: one contiguous arena
 // with as many slots as the LLC has lines (residency is LLC-bounded by
 // inclusion), plus a block-number-indexed slot table sized from the backing
-// extent. The steady-state access path therefore performs no allocation —
-// a fill pops a free arena slot, an eviction pushes it back — and residency
-// is a single array read instead of a map lookup.
+// extent. A block's arena slot is its LLC way slot, and the inclusion
+// directory records its way slot in every private level, so the steady-state
+// access path performs no allocation and no tag scan: residency at any level
+// is two array reads.
 type Hierarchy struct {
 	cfg     Config
 	nlev    int
@@ -345,7 +364,15 @@ type Hierarchy struct {
 	slots    []int32
 	arena    []byte
 	llcLines int
-	scratch  []uint64 // reused by WriteBackAll / ResidentBlocks
+
+	// Inclusion directory: dir[slot*npriv+l] is the way slot in private
+	// level l of the block held by LLC way slot, or -1 when level l does not
+	// hold it (always -1 for an invalid LLC line). Inclusion gives every
+	// private-resident block an LLC line to hang this on, so residency at
+	// level l is row(slots[blk])[l]. Like slots it is derivable from the
+	// tag arrays: snapshots omit it and ResumeFrom rebuilds it.
+	dir     []int32
+	scratch []uint64 // reused by WriteBackAll / ResidentBlocks
 
 	// poisoned reports detected-uncorrectable backing blocks (resolved from
 	// the backing at construction; nil when the backing cannot poison).
@@ -385,6 +412,10 @@ func New(cfg Config, backing Backing) *Hierarchy {
 
 	h.llcLines = int(h.llc.nsets) * h.llc.ways
 	h.arena = make([]byte, h.llcLines*BlockSize)
+	h.dir = make([]int32, h.llcLines*h.npriv)
+	for i := range h.dir {
+		h.dir[i] = -1
+	}
 	if s, ok := backing.(interface{ Size() uint64 }); ok {
 		h.growSlots(s.Size() >> blockShift)
 	}
@@ -405,6 +436,12 @@ func (h *Hierarchy) growSlots(nblocks uint64) {
 		grown[i] = -1
 	}
 	h.slots = grown
+}
+
+// row returns the directory row of the block held by LLC way ls: its way
+// slot in each private level, or -1.
+func (h *Hierarchy) row(ls int32) []int32 {
+	return h.dir[int(ls)*h.npriv:][:h.npriv]
 }
 
 // slotOf returns blk's arena slot, or -1 when not resident.
@@ -599,69 +636,64 @@ func (h *Hierarchy) accessBlock(blk uint64, off int, buf []byte, store bool) {
 // dirtiness without a second lookup. Fill order is outermost-first so the
 // inclusion invariant holds while inner levels evict.
 func (h *Hierarchy) ensureResident(blk uint64) (*[BlockSize]byte, *cache, int) {
-	if h.slotOf(blk) < 0 {
+	ls := h.slotOf(blk)
+	if ls < 0 {
 		// No arena slot means blk is valid in no cache (every resident
-		// line's value lives in the arena), so the per-level tag scans are
-		// guaranteed misses: record them and fill straight from memory.
+		// line's value lives in the arena): miss everywhere and fill
+		// straight from memory.
 		for l := 0; l < h.nlev; l++ {
 			h.stats.Misses[l]++
 		}
-		llcSlot := h.insertLLC(blk)
-		h.backing.ReadBlock(blk<<blockShift, h.attach(blk, int32(llcSlot))[:])
+		ls = int32(h.insertLLC(blk))
+		data := h.attach(blk, ls)
+		h.backing.ReadBlock(blk<<blockShift, data[:])
 		h.stats.Fills++
-		if h.npriv == 0 {
-			return h.blockData(blk), h.llc, llcSlot
-		}
-		slot := -1
-		for l := h.npriv - 1; l >= 0; l-- {
-			slot = h.insertPrivate(l, blk)
-		}
-		return h.blockData(blk), h.priv[0], slot
+		inner, slot := h.fillPrivate(h.npriv-1, blk, ls)
+		return data, inner, slot
 	}
-	// Fast path: L1 hit.
-	if h.npriv > 0 {
+	data := h.dataAt(ls)
+	if h.npriv == 0 {
+		h.llc.touch(int(ls), h.tick)
+		h.stats.Hits[0]++
+		return data, h.llc, int(ls)
+	}
+	// The block's directory row says which private levels hold it and where.
+	row := h.row(ls)
+	if s := row[0]; s >= 0 {
 		l1 := h.priv[0]
-		if slot, ok := l1.lookup(blk); ok {
-			l1.touch(slot, h.tick)
-			h.stats.Hits[0]++
-			return h.blockData(blk), l1, slot
-		}
-		h.stats.Misses[0]++
+		l1.touch(int(s), h.tick)
+		h.stats.Hits[0]++
+		return data, l1, int(s)
 	}
-	// Find the outermost level that already has the block.
-	hitLevel := -1 // -1 means memory
-	for l := 1; l < h.npriv; l++ {
-		if slot, ok := h.priv[l].lookup(blk); ok {
-			h.priv[l].touch(slot, h.tick)
-			h.stats.Hits[l]++
-			hitLevel = l
+	h.stats.Misses[0]++
+	// Find the innermost level that has the block; the LLC does by inclusion.
+	hitLevel := 1
+	for ; hitLevel < h.npriv; hitLevel++ {
+		if s := row[hitLevel]; s >= 0 {
+			h.priv[hitLevel].touch(int(s), h.tick)
 			break
 		}
-		h.stats.Misses[l]++
+		h.stats.Misses[hitLevel]++
 	}
-	llcSlot := -1
-	if hitLevel == -1 {
-		// slotOf(blk) >= 0 past the cold path above, and the arena slot is
-		// the LLC way slot: a guaranteed O(1) LLC hit, no tag scan.
-		llcSlot = int(h.slots[blk])
-		h.llc.touch(llcSlot, h.tick)
-		h.stats.Hits[h.nlev-1]++
-		hitLevel = h.nlev - 1
+	if hitLevel == h.npriv {
+		h.llc.touch(int(ls), h.tick)
 	}
-	// Fill private levels from hitLevel-1 down to 0 (outermost first).
-	top := hitLevel - 1
-	if hitLevel == h.nlev-1 {
-		top = h.npriv - 1
+	h.stats.Hits[hitLevel]++
+	inner, slot := h.fillPrivate(hitLevel-1, blk, ls)
+	return data, inner, slot
+}
+
+// fillPrivate inserts blk (held by LLC way ls) into private levels top down
+// to 0, outermost first, and returns its innermost residency.
+func (h *Hierarchy) fillPrivate(top int, blk uint64, ls int32) (*cache, int) {
+	if h.npriv == 0 {
+		return h.llc, int(ls)
 	}
-	if top < 0 {
-		// No private levels: the LLC is the innermost residency.
-		return h.blockData(blk), h.llc, llcSlot
-	}
-	slot := -1
+	slot := 0
 	for l := top; l >= 0; l-- {
-		slot = h.insertPrivate(l, blk)
+		slot = h.insertPrivate(l, blk, ls)
 	}
-	return h.blockData(blk), h.priv[0], slot
+	return h.priv[0], slot
 }
 
 // insertLLC inserts blk into the LLC, evicting a victim if needed,
@@ -671,12 +703,23 @@ func (h *Hierarchy) insertLLC(blk uint64) int {
 	if h.llc.state[slot]&stValid != 0 {
 		h.evictLLCSlot(slot)
 	}
-	set := int(blk % h.llc.nsets)
-	h.llc.tags[slot] = blk
-	h.llc.setState(slot, stValid)
-	h.llc.lru[slot] = h.tick
-	h.llc.mru[set] = int32(slot - set*h.llc.ways)
+	h.llc.fill(slot, blk, h.tick)
 	return slot
+}
+
+// dropPrivate back-invalidates the private copies, in levels [0, below), of
+// the block held by LLC way ls, and reports whether any of them was dirty.
+func (h *Hierarchy) dropPrivate(ls int32, below int) (dirty bool) {
+	row := h.row(ls)[:below]
+	for l, s := range row {
+		if s >= 0 {
+			pc := h.priv[l]
+			dirty = dirty || pc.state[s]&stDirty != 0
+			pc.invalidate(int(s))
+			row[l] = -1
+		}
+	}
+	return dirty
 }
 
 // evictLLCSlot evicts the block in an LLC slot: back-invalidates every
@@ -684,112 +727,82 @@ func (h *Hierarchy) insertLLC(blk uint64) int {
 // anywhere, and drops its value buffer.
 func (h *Hierarchy) evictLLCSlot(slot int) {
 	victim := h.llc.tags[slot]
-	dirty := h.llc.state[slot]&stDirty != 0
-	for _, pc := range h.priv {
-		if s, ok := pc.lookup(victim); ok {
-			if pc.state[s]&stDirty != 0 {
-				dirty = true
-			}
-			pc.setState(s, 0)
-		}
-	}
-	if dirty {
-		h.backing.WriteBlock(victim<<blockShift, h.blockData(victim)[:])
+	if h.dropPrivate(int32(slot), h.npriv) || h.llc.state[slot]&stDirty != 0 {
+		h.backing.WriteBlock(victim<<blockShift, h.dataAt(int32(slot))[:])
 		h.stats.EvictionWritebacks++
 	}
 	h.detach(victim)
-	h.llc.setState(slot, 0)
+	h.llc.invalidate(slot)
 }
 
-// insertPrivate inserts blk into private level l, evicting the LRU
-// victim into level l+1 (which holds it by inclusion). Returns the way slot
-// used.
-func (h *Hierarchy) insertPrivate(l int, blk uint64) int {
+// insertPrivate inserts blk, held by LLC way ls, into private level l,
+// evicting the policy's victim into level l+1 (which holds it by inclusion).
+// Returns the way slot used.
+func (h *Hierarchy) insertPrivate(l int, blk uint64, ls int32) int {
 	c := h.priv[l]
 	slot := c.victimSlot(blk)
-	if c.state[slot]&stValid != 0 {
-		victim := c.tags[slot]
-		victimDirty := c.state[slot]&stDirty != 0
+	if st := c.state[slot]; st&stValid != 0 {
+		vs := h.slots[c.tags[slot]]
 		// Back-invalidate inner levels (inclusion within the private
 		// stack), merging their dirtiness into the victim's.
-		for _, ic := range h.priv[:l] {
-			if s, ok := ic.lookup(victim); ok {
-				if ic.state[s]&stDirty != 0 {
-					victimDirty = true
-				}
-				ic.setState(s, 0)
-			}
+		if h.dropPrivate(vs, l) || st&stDirty != 0 {
+			h.markDirtyBelow(l, vs)
 		}
-		if victimDirty {
-			h.markDirtyBelow(l, victim)
-		}
+		h.row(vs)[l] = -1
 	}
-	set := int(blk % c.nsets)
-	c.tags[slot] = blk
-	c.setState(slot, stValid)
-	c.lru[slot] = h.tick
-	c.mru[set] = int32(slot - set*c.ways)
+	c.fill(slot, blk, h.tick)
+	h.row(ls)[l] = int32(slot)
 	return slot
 }
 
-// markDirtyBelow records that victim, evicted dirty out of private level l,
-// is now dirty in the next level down (private l+1 or the LLC).
-func (h *Hierarchy) markDirtyBelow(l int, victim uint64) {
+// markDirtyBelow records that the block held by LLC way vs, evicted dirty
+// out of private level l, is now dirty in the next level down (private l+1
+// or the LLC).
+func (h *Hierarchy) markDirtyBelow(l int, vs int32) {
 	if l+1 < h.npriv {
-		next := h.priv[l+1]
-		if s, ok := next.lookup(victim); ok {
-			next.setState(s, next.state[s]|stDirty)
-			return
+		s := h.row(vs)[l+1]
+		if s < 0 {
+			panic("cachesim: inclusion violated: victim absent from next private level")
 		}
-		panic("cachesim: inclusion violated: victim absent from next private level")
-	}
-	if s := h.slotOf(victim); s >= 0 {
-		h.llc.setState(int(s), h.llc.state[s]|stDirty)
+		next := h.priv[l+1]
+		next.setState(int(s), next.state[s]|stDirty)
 		return
 	}
-	panic("cachesim: inclusion violated: victim absent from LLC")
+	h.llc.setState(int(vs), h.llc.state[vs]|stDirty)
 }
 
-// dirtyAnywhere reports whether blk is dirty in any level.
-func (h *Hierarchy) dirtyAnywhere(blk uint64) bool {
-	if s := h.slotOf(blk); s >= 0 && h.llc.state[s]&stDirty != 0 {
+// dirtyAnywhere reports whether the block held by LLC way ls is dirty in any
+// level.
+func (h *Hierarchy) dirtyAnywhere(ls int32) bool {
+	if h.llc.state[ls]&stDirty != 0 {
 		return true
 	}
-	for _, pc := range h.priv {
-		if s, ok := pc.lookup(blk); ok && pc.state[s]&stDirty != 0 {
+	for l, s := range h.row(ls) {
+		if s >= 0 && h.priv[l].state[s]&stDirty != 0 {
 			return true
 		}
 	}
 	return false
 }
 
-// cleanEverywhere clears the dirty bit of blk in every level.
-// Residency is untouched, so Stream memoizations stay valid (a memoized
-// store re-marks the line dirty exactly as the scalar path would).
-func (h *Hierarchy) cleanEverywhere(blk uint64) {
-	if s := h.slotOf(blk); s >= 0 {
-		h.llc.setState(int(s), h.llc.state[s]&^stDirty)
-	}
-	for _, pc := range h.priv {
-		if s, ok := pc.lookup(blk); ok {
-			pc.setState(s, pc.state[s]&^stDirty)
+// cleanEverywhere clears the dirty bit of the block held by LLC way ls in
+// every level. Residency is untouched.
+func (h *Hierarchy) cleanEverywhere(ls int32) {
+	h.llc.setState(int(ls), h.llc.state[ls]&^stDirty)
+	for l, s := range h.row(ls) {
+		if s >= 0 {
+			pc := h.priv[l]
+			pc.setState(int(s), pc.state[s]&^stDirty)
 		}
 	}
 }
 
-// invalidateEverywhere removes blk from every level and drops its value.
-func (h *Hierarchy) invalidateEverywhere(blk uint64) {
-	if s := h.slotOf(blk); s >= 0 {
-		h.llc.setState(int(s), 0)
-	}
-	for _, pc := range h.priv {
-		if s, ok := pc.lookup(blk); ok {
-			pc.setState(s, 0)
-		}
-	}
-	if h.slotOf(blk) >= 0 {
-		h.detach(blk)
-	}
+// invalidateEverywhere removes the block held by LLC way ls from every level
+// and drops its value.
+func (h *Hierarchy) invalidateEverywhere(ls int32) {
+	h.dropPrivate(ls, h.npriv)
+	h.detach(h.llc.tags[ls])
+	h.llc.invalidate(int(ls))
 }
 
 // FlushResult reports what one Flush call did.
@@ -819,17 +832,17 @@ func (h *Hierarchy) Flush(addr, size uint64, op FlushOp) FlushResult {
 			h.stats.CleanFlushes++
 			continue
 		}
-		if h.dirtyAnywhere(blk) {
+		if h.dirtyAnywhere(slot) {
 			h.backing.WriteBlock(blk<<blockShift, h.dataAt(slot)[:])
 			h.stats.DirtyFlushes++
 			r.DirtyFlushed++
-			h.cleanEverywhere(blk)
+			h.cleanEverywhere(slot)
 		} else {
 			r.CleanFlushed++
 			h.stats.CleanFlushes++
 		}
 		if op != CLWB {
-			h.invalidateEverywhere(blk)
+			h.invalidateEverywhere(slot)
 		}
 	}
 	return r
@@ -848,9 +861,9 @@ func (h *Hierarchy) WriteBackAll() uint64 {
 	blks := h.residentSorted()
 	var n uint64
 	for _, blk := range blks {
-		if h.dirtyAnywhere(blk) {
-			h.backing.WriteBlock(blk<<blockShift, h.blockData(blk)[:])
-			h.cleanEverywhere(blk)
+		if slot := h.slots[blk]; h.dirtyAnywhere(slot) {
+			h.backing.WriteBlock(blk<<blockShift, h.dataAt(slot)[:])
+			h.cleanEverywhere(slot)
 			h.stats.DrainWritebacks++
 			n++
 		}
@@ -877,15 +890,25 @@ func (h *Hierarchy) residentSorted() []uint64 {
 // it. Statistics are preserved. The flat store is recycled in place — no
 // allocation per crash.
 func (h *Hierarchy) DropAll() {
+	// Only a valid private line has a directory entry, so clearing those
+	// (ResumeFrom's rebuild walk, backwards) empties the directory without
+	// touching the rows of the far more numerous LLC-only lines.
+	for l, pc := range h.priv {
+		for i, st := range pc.state {
+			if st&stValid != 0 {
+				h.row(h.slots[pc.tags[i]])[l] = -1
+				pc.lru[i] = 0
+			}
+		}
+		pc.clearState()
+	}
 	for i, st := range h.llc.state {
 		if st&stValid != 0 {
 			h.detach(h.llc.tags[i])
+			h.llc.lru[i] = 0
 		}
 	}
-	h.llc.invalidateAll()
-	for _, pc := range h.priv {
-		pc.invalidateAll()
-	}
+	h.llc.clearState()
 }
 
 // Reset returns the hierarchy to its just-constructed state: every level
@@ -894,15 +917,9 @@ func (h *Hierarchy) DropAll() {
 // identically to a fresh New over the same backing, which is what lets
 // campaign workers reuse one machine per crash test.
 func (h *Hierarchy) Reset() {
-	for i, st := range h.llc.state {
-		if st&stValid != 0 {
-			h.slots[h.llc.tags[i]] = -1
-		}
-	}
-	h.llc.invalidateAll()
+	h.DropAll()
 	h.llc.rng = rngSeed
 	for _, pc := range h.priv {
-		pc.invalidateAll()
 		pc.rng = rngSeed
 	}
 	h.tick = 0
@@ -927,7 +944,7 @@ func (h *Hierarchy) DirtyBytesIn(addr, size uint64) uint64 {
 	last := (addr + size - 1) >> blockShift
 	for blk := first; blk <= last; blk++ {
 		slot := h.slotOf(blk)
-		if slot < 0 || !h.dirtyAnywhere(blk) {
+		if slot < 0 || !h.dirtyAnywhere(slot) {
 			continue
 		}
 		lo, hi := blk<<blockShift, (blk+1)<<blockShift
@@ -960,7 +977,7 @@ func (h *Hierarchy) ResidentBlocks() (resident, dirty int) {
 			continue
 		}
 		resident++
-		if h.dirtyAnywhere(h.llc.tags[i]) {
+		if h.dirtyAnywhere(int32(i)) {
 			dirty++
 		}
 	}
@@ -996,33 +1013,55 @@ func (h *Hierarchy) ArchValue(addr uint64, buf []byte) {
 	}
 }
 
-// CheckInclusion verifies the inclusion invariant (every private-resident
-// block is LLC-resident, every resident block has a value buffer) and
-// returns an error describing the first violation. Used by tests.
+// CheckInclusion verifies the inclusion invariant and the two identities the
+// access path relies on instead of scanning — slot table = LLC way, inclusion
+// directory = private way — and returns an error describing the first
+// violation. It finds residency with its own tag scans, never through the
+// structures it audits. Used by tests.
 func (h *Hierarchy) CheckInclusion() error {
+	// Every valid private line is in its own set, LLC-resident, and pointed
+	// at by its block's directory row.
 	for l, pc := range h.priv {
 		for i, st := range pc.state {
 			if st&stValid == 0 {
 				continue
 			}
 			blk := pc.tags[i]
-			if _, ok := h.llc.lookup(blk); !ok {
+			if pc.scan(blk) != i {
+				return fmt.Errorf("block %#x valid in level %d way %d, outside its set or twice in it", blk, l, i)
+			}
+			ls := h.llc.scan(blk)
+			if ls < 0 {
 				return fmt.Errorf("block %#x valid in level %d but not in LLC", blk, l)
 			}
-			if h.slotOf(blk) < 0 {
-				return fmt.Errorf("block %#x valid in level %d but has no value buffer", blk, l)
+			if got := h.row(int32(ls))[l]; got != int32(i) {
+				return fmt.Errorf("block %#x valid in level %d way %d but directory says %d", blk, l, i, got)
+			}
+		}
+	}
+	// Every valid LLC line is where the slot table says, every directory
+	// entry points at a valid way holding the line's tag, and no entry
+	// survives for an invalid LLC line.
+	for i, st := range h.llc.state {
+		valid := st&stValid != 0
+		if valid && h.slotOf(h.llc.tags[i]) != int32(i) {
+			return fmt.Errorf("block %#x valid in LLC way %d but slot table says %d",
+				h.llc.tags[i], i, h.slotOf(h.llc.tags[i]))
+		}
+		for l, s := range h.row(int32(i)) {
+			if s < 0 {
+				continue
+			}
+			if !valid {
+				return fmt.Errorf("directory entry (level %d way %d) survives for invalid LLC way %d", l, s, i)
+			}
+			if pc := h.priv[l]; int(s) >= len(pc.state) || pc.state[s]&stValid == 0 || pc.tags[s] != h.llc.tags[i] {
+				return fmt.Errorf("directory says block %#x is in level %d way %d, which does not hold it",
+					h.llc.tags[i], l, s)
 			}
 		}
 	}
 	attached := 0
-	for i, st := range h.llc.state {
-		if st&stValid != 0 {
-			if h.slotOf(h.llc.tags[i]) != int32(i) {
-				return fmt.Errorf("block %#x valid in LLC way %d but slot table says %d",
-					h.llc.tags[i], i, h.slotOf(h.llc.tags[i]))
-			}
-		}
-	}
 	for blk, slot := range h.slots {
 		if slot < 0 {
 			continue
@@ -1039,13 +1078,17 @@ func (h *Hierarchy) CheckInclusion() error {
 	return nil
 }
 
-// CheckCounters verifies the incremental valid/dirty line counters of every
-// tag array against a full scan and returns an error describing the first
-// mismatch. Used by tests.
+// CheckCounters verifies, against a full scan of every tag array, the
+// incremental valid/dirty line counters and that exactly the invalid ways sit
+// at recency 0 (victimSlot's one-pass choice depends on it). Returns an error
+// describing the first mismatch. Used by tests.
 func (h *Hierarchy) CheckCounters() error {
 	check := func(name string, c *cache) error {
 		valid, dirty := 0, 0
-		for _, s := range c.state {
+		for i, s := range c.state {
+			if (s&stValid != 0) != (c.lru[i] != 0) {
+				return fmt.Errorf("%s: way %d has state %#x at recency %d", name, i, s, c.lru[i])
+			}
 			if s&stValid != 0 {
 				valid++
 				if s&stDirty != 0 {

@@ -72,11 +72,10 @@ func TestHierarchyResetMatchesFresh(t *testing.T) {
 			case 2:
 				h.Flush(a, 8, CLWB)
 			}
+			audit(t, h, "after an access")
 		}
 		h.WriteBackAll()
-		if err := h.CheckInclusion(); err != nil {
-			t.Fatal(err)
-		}
+		audit(t, h, "after the drain")
 		return h.Stats(), im.Snapshot()
 	}
 	h1, im1 := newPair(t, cfg, 1<<16)
@@ -89,6 +88,7 @@ func TestHierarchyResetMatchesFresh(t *testing.T) {
 	}
 	im2.Reset()
 	h2.Reset()
+	audit(t, h2, "after Reset")
 	if res, dirty := h2.ResidentBlocks(); res != 0 || dirty != 0 {
 		t.Fatalf("reset hierarchy still holds %d resident (%d dirty) blocks", res, dirty)
 	}

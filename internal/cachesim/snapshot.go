@@ -4,10 +4,11 @@ package cachesim
 // array (tags, state flags, recency ticks, replacement RNG), the recency
 // clock, the statistics, and the values of the resident blocks. It
 // deliberately does NOT copy the block-number-indexed slot table
-// (NVM-capacity / 64 entries — megabytes for a realistic image): a block's
-// arena slot IS its LLC way slot, so the restored LLC tag array enumerates
-// every (block, slot) pair and ResumeFrom replays those into a freshly
-// Reset table instead.
+// (NVM-capacity / 64 entries — megabytes for a realistic image) or the
+// inclusion directory: a block's arena slot IS its LLC way slot and its
+// directory row names its private ways, so the restored tag arrays enumerate
+// every (block, slot) and (block, level, way) triple and ResumeFrom replays
+// those into a freshly Reset table and directory instead.
 //
 // A Snapshot is immutable once taken and safe to restore into any hierarchy
 // with the same configuration, concurrently with other restores of the same
@@ -100,6 +101,15 @@ func (h *Hierarchy) ResumeFrom(s *Snapshot) {
 		h.slots[blk] = int32(i)
 		copy(h.dataAt(int32(i))[:], s.data[n*BlockSize:(n+1)*BlockSize])
 		n++
+	}
+	// Rebuild the inclusion directory (all -1 on a Reset hierarchy) from the
+	// restored private tag arrays.
+	for l, pc := range h.priv {
+		for i, st := range pc.state {
+			if st&stValid != 0 {
+				h.row(h.slots[pc.tags[i]])[l] = int32(i)
+			}
+		}
 	}
 	h.tick = s.tick
 

@@ -8,8 +8,21 @@ import (
 	"easycrash/internal/mem"
 )
 
-// driveOps runs a deterministic mixed access sequence on a hierarchy.
-func driveOps(h *Hierarchy, seed uint64, n int) {
+// audit fails the test if the hierarchy's inclusion identities (slot table,
+// inclusion directory) or its incremental counters disagree with a scan.
+func audit(t testing.TB, h *Hierarchy, when string) {
+	t.Helper()
+	if err := h.CheckInclusion(); err != nil {
+		t.Fatalf("%s: %v", when, err)
+	}
+	if err := h.CheckCounters(); err != nil {
+		t.Fatalf("%s: %v", when, err)
+	}
+}
+
+// driveOps runs a deterministic mixed access sequence on a hierarchy, calling
+// step (when non-nil) after every operation.
+func driveOps(h *Hierarchy, seed uint64, n int, step func()) {
 	x := seed
 	var buf [16]byte
 	for i := 0; i < n; i++ {
@@ -28,6 +41,9 @@ func driveOps(h *Hierarchy, seed uint64, n int) {
 		case 4:
 			h.Flush(addr, 64, CLWB)
 		}
+		if step != nil {
+			step()
+		}
 	}
 }
 
@@ -36,27 +52,25 @@ func TestSnapshotResumeIdenticalFuture(t *testing.T) {
 	imA := mem.NewImage(imgSize)
 	imB := mem.NewImage(imgSize)
 	ref := New(TestConfig(), imA)
-	driveOps(ref, 0x9e3779b97f4a7c15, 4000)
+	driveOps(ref, 0x9e3779b97f4a7c15, 4000, func() { audit(t, ref, "reference prefix") })
 
 	snap := ref.Snapshot()
 	imgSnap := imA.Fork(imA.Size())
 
 	// A recycled hierarchy over a different image resumes from the snapshot.
 	fork := New(TestConfig(), imB)
-	driveOps(fork, 12345, 500) // dirty it first, then recycle
+	driveOps(fork, 12345, 500, func() { audit(t, fork, "fork's first life") }) // dirty it first, then recycle
 	fork.Reset()
+	audit(t, fork, "after Reset")
 	imB.Reset()
 	imB.RestoreSnapshot(imgSnap)
 	fork.ResumeFrom(snap)
-
-	if err := fork.CheckInclusion(); err != nil {
-		t.Fatalf("resumed hierarchy violates inclusion: %v", err)
-	}
+	audit(t, fork, "after ResumeFrom")
 
 	// Identical future: same ops on both must produce identical stats,
 	// architectural values, and identical images after a full drain.
-	driveOps(ref, 0xdeadbeef, 3000)
-	driveOps(fork, 0xdeadbeef, 3000)
+	driveOps(ref, 0xdeadbeef, 3000, func() { audit(t, ref, "reference future") })
+	driveOps(fork, 0xdeadbeef, 3000, func() { audit(t, fork, "resumed future") })
 
 	if !reflect.DeepEqual(ref.Stats(), fork.Stats()) {
 		t.Fatalf("stats diverged:\nref  %+v\nfork %+v", ref.Stats(), fork.Stats())
@@ -71,6 +85,8 @@ func TestSnapshotResumeIdenticalFuture(t *testing.T) {
 	if ref.WriteBackAll() != fork.WriteBackAll() {
 		t.Fatal("drain write-back counts diverged")
 	}
+	audit(t, ref, "reference after drain")
+	audit(t, fork, "fork after drain")
 	if !bytes.Equal(imA.Bytes(0, imgSize), imB.Bytes(0, imgSize)) {
 		t.Fatal("backing images diverged after drain")
 	}
@@ -79,17 +95,17 @@ func TestSnapshotResumeIdenticalFuture(t *testing.T) {
 func TestSnapshotIsImmutable(t *testing.T) {
 	im := mem.NewImage(64 << 10)
 	h := New(TestConfig(), im)
-	driveOps(h, 777, 2000)
+	driveOps(h, 777, 2000, nil)
 	snap := h.Snapshot()
 	want := append([]uint64(nil), snap.tags...)
 	wantData := append([]byte(nil), snap.data...)
 
-	driveOps(h, 888, 2000) // keep mutating the source hierarchy
+	driveOps(h, 888, 2000, nil) // keep mutating the source hierarchy
 
 	im2 := mem.NewImage(64 << 10)
 	h2 := New(TestConfig(), im2)
 	h2.ResumeFrom(snap)
-	driveOps(h2, 999, 2000) // and mutate a hierarchy resumed from it
+	driveOps(h2, 999, 2000, nil) // and mutate a hierarchy resumed from it
 
 	if !reflect.DeepEqual(snap.tags, want) || !bytes.Equal(snap.data, wantData) {
 		t.Fatal("snapshot mutated by source or restored hierarchy activity")
@@ -109,11 +125,11 @@ func TestSnapshotIsImmutable(t *testing.T) {
 func TestResumeFromRequiresPristineHierarchy(t *testing.T) {
 	im := mem.NewImage(64 << 10)
 	h := New(TestConfig(), im)
-	driveOps(h, 31337, 1000)
+	driveOps(h, 31337, 1000, nil)
 	snap := h.Snapshot()
 
 	dirty := New(TestConfig(), mem.NewImage(64<<10))
-	driveOps(dirty, 1, 100)
+	driveOps(dirty, 1, 100, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("ResumeFrom on a non-Reset hierarchy did not panic")

@@ -10,16 +10,17 @@ import "encoding/binary"
 // LRU touch and the data copy, exactly the effects the scalar path's
 // innermost-level hit would have had.
 //
-// The memo is self-validating, like the per-set way-prediction hint: the
-// fast path re-checks that the memoized way still holds the block's tag with
-// the valid bit set, and re-reads the block's arena slot through the flat
-// store (a single array read). A valid tag in the innermost level proves
-// residency, and inclusion guarantees the arena slot is current, so no global
-// invalidation protocol is needed — evictions, refills, resets and snapshot
-// resumes all naturally fail the tag check (or redirect the arena read) and
-// fall back to the full scalar path. A Stream is therefore access-for-access
-// equivalent to per-element Load/Store calls, which is what lets
-// digest-pinned kernels migrate onto it.
+// The memo is self-validating: the fast path re-checks that the memoized way
+// still holds the block's tag with the valid bit set, and re-reads the block's
+// arena slot through the flat store (a single array read). A valid tag in the
+// innermost level proves residency, and inclusion guarantees the arena slot is
+// current, so no global invalidation protocol is needed — evictions, refills,
+// resets and snapshot resumes all naturally fail the tag check (or redirect
+// the arena read) and fall back to the full scalar path. A Stream is therefore
+// access-for-access equivalent to per-element Load/Store calls, which is what
+// lets digest-pinned kernels migrate onto it. The memo stays on top of the
+// inclusion directory because it is still the faster form (DESIGN.md, "Batched
+// access path", has both rungs).
 //
 // Streams are single-goroutine cursors over one hierarchy; any number may be
 // live at once (kernels keep one per stencil arm, so each stream sees

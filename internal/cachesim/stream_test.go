@@ -136,3 +136,51 @@ func TestCheckCountersDetectsCorruption(t *testing.T) {
 		t.Fatal("corrupted valid counter went undetected")
 	}
 }
+
+// TestCheckInclusionDetectsDirectoryCorruption makes sure the inclusion
+// directory is audited in both directions against independent tag scans: a
+// resident private line its row does not point at, a row entry pointing at a
+// way that does not hold the block, and an entry surviving on an invalid LLC
+// line must each be reported.
+func TestCheckInclusionDetectsDirectoryCorruption(t *testing.T) {
+	h, _ := newPair(t, tiny(), 1<<14)
+	// Blocks 0, 2 and 4 share L1 set 0 (2 ways): block 0 ends up out of the
+	// L1 but still in the L2 and the LLC; L1 set 1 stays empty.
+	for _, blk := range []uint64{0, 2, 4} {
+		h.Store(0, blk*BlockSize, []byte{1})
+	}
+	if err := h.CheckInclusion(); err != nil {
+		t.Fatalf("fresh hierarchy failed inclusion check: %v", err)
+	}
+	row := func(blk uint64) int { return int(h.slots[blk]) * h.npriv }
+	if h.dir[row(0)] != -1 || h.dir[row(4)] < 0 {
+		t.Fatalf("setup: block 0 L1 entry %d (want -1), block 4 L1 entry %d (want a way)", h.dir[row(0)], h.dir[row(4)])
+	}
+	free := -1 // an invalid LLC line
+	for i, st := range h.llc.state {
+		if st&stValid == 0 {
+			free = i
+			break
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		entry int
+		value int32
+	}{
+		{"resident private line without an entry", row(4), -1},
+		{"entry at a way holding another block", row(0), h.dir[row(4)]},
+		{"entry at an invalid way", row(0), int32(h.priv[0].ways)},
+		{"entry on an invalid LLC line", free * h.npriv, 0},
+	} {
+		saved := h.dir[c.entry]
+		h.dir[c.entry] = c.value
+		if err := h.CheckInclusion(); err == nil {
+			t.Errorf("%s went undetected", c.name)
+		}
+		h.dir[c.entry] = saved
+	}
+	if err := h.CheckInclusion(); err != nil {
+		t.Fatalf("restored hierarchy failed inclusion check: %v", err)
+	}
+}

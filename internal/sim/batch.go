@@ -16,7 +16,7 @@ import (
 // torn-write window are all computed so that batches split precisely at the
 // crash tick, the interrupt boundary, the block boundary and region
 // transitions. Any element that could fire (crash or interrupt) goes through
-// the scalar account() path, so panics — and the snapshot-tree fork hook —
+// the scalar tick() path, so panics — and the snapshot-tree fork hook —
 // fire at exactly the site a scalar run would have fired them.
 
 // maxRunSpan bounds one batch (and the machine's scratch buffer); splitting
@@ -38,53 +38,31 @@ func (m *Machine) batchSpan(n uint64) uint64 {
 	if !m.inMainLoop {
 		return n
 	}
-	if m.crashAt != 0 {
-		if m.mainAccess+1 >= m.crashAt {
-			return 0
-		}
-		if left := m.crashAt - m.mainAccess - 1; n > left {
-			n = left
-		}
+	at := m.fireAt()
+	if m.mainAccess+1 >= at {
+		return 0
 	}
-	if m.intrFn != nil {
-		left := m.intrEvery - m.intrCount
-		if left <= 1 {
-			return 0
-		}
-		if n > left-1 {
-			n = left - 1
-		}
-	}
-	return n
+	return min(n, at-m.mainAccess-1)
 }
 
-// bulkAccount performs the accounting of n crash-clock ticks whose firing
-// checks batchSpan already proved inert. Mirrors account() without the
-// checks; like account(), it is a no-op outside the main loop.
+// bulkAccount performs the accounting of n crash-clock ticks that batchSpan
+// already proved fire nothing, so the threshold needs no look. Like tick, it
+// is a no-op outside the main loop.
 func (m *Machine) bulkAccount(n uint64) {
 	if !m.inMainLoop {
 		return
 	}
 	m.mainAccess += n
-	m.regionAccess[m.region+1] += n
-	if m.intrFn != nil {
-		m.intrCount += n
-	}
+	m.regionAccess[m.regionIdx] += n
 }
 
-// resyncWrites re-anchors the in-flight torn-write window, exactly as the
-// tail of account() does. The batched run accessors call it before issuing
-// the *final* element of a batch: at the next scalar account() the window
+// resyncBatch re-anchors the in-flight torn-write window as the tick of the
+// batch's *final* element would have: at the next scalar tick the window
 // must cover precisely the writes of the immediately preceding access, as
 // it would after a scalar run.
-func (m *Machine) resyncWrites() {
-	if !m.inMainLoop {
-		return
-	}
-	if m.faults != nil {
-		m.lastWriteSeq = m.faults.WriteSeq()
-	} else if m.recorder != nil {
-		m.lastWriteSeq = m.recorder.WriteSeq()
+func (m *Machine) resyncBatch() {
+	if m.inMainLoop {
+		m.resyncWrites()
 	}
 }
 
@@ -104,7 +82,7 @@ func (m *Machine) loadRun(addr uint64, span uint64) []byte {
 	if span > 1 {
 		m.hier.LoadRun(0, addr, buf[:(span-1)*8])
 	}
-	m.resyncWrites()
+	m.resyncBatch()
 	m.hier.Load(0, addr+(span-1)*8, buf[(span-1)*8:])
 	return buf
 }
@@ -116,7 +94,7 @@ func (m *Machine) storeRun(addr uint64, span uint64, buf []byte) {
 	if span > 1 {
 		m.hier.StoreRun(0, addr, buf[:(span-1)*8])
 	}
-	m.resyncWrites()
+	m.resyncBatch()
 	m.hier.Store(0, addr+(span-1)*8, buf[(span-1)*8:])
 }
 
@@ -244,7 +222,7 @@ func (s I64Slice) StoreRun(i int, src []int64) {
 
 // F64Stream is a float64 element view backed by a block-memoizing cachesim
 // stream: per-access crash accounting stays exact (every access goes through
-// account()), but consecutive accesses within one 64 B block skip the
+// tick()), but consecutive accesses within one 64 B block skip the
 // hierarchy walk. Kernels keep one stream per stride-regular access site
 // (e.g. one per stencil arm), so each stream sees block-local traffic.
 //
@@ -275,7 +253,7 @@ func (s *F64Stream) At(i int) float64 {
 	if m.scalarAccess || m.observer != nil || !s.aligned {
 		return m.LoadF64(addr)
 	}
-	m.account()
+	m.tick()
 	return math.Float64frombits(s.st.Load8(0, addr))
 }
 
@@ -287,7 +265,7 @@ func (s *F64Stream) Set(i int, v float64) {
 		m.StoreF64(addr, v)
 		return
 	}
-	m.account()
+	m.tick()
 	s.st.Store8(0, addr, math.Float64bits(v))
 }
 
@@ -317,7 +295,7 @@ func (s *I64Stream) At(i int) int64 {
 	if m.scalarAccess || m.observer != nil || !s.aligned {
 		return m.LoadI64(addr)
 	}
-	m.account()
+	m.tick()
 	return int64(s.st.Load8(0, addr))
 }
 
@@ -329,6 +307,6 @@ func (s *I64Stream) Set(i int, v int64) {
 		m.StoreI64(addr, v)
 		return
 	}
-	m.account()
+	m.tick()
 	s.st.Store8(0, addr, uint64(v))
 }

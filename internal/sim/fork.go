@@ -22,7 +22,7 @@ type Snapshot struct {
 
 	inMainLoop   bool
 	mainAccess   uint64
-	region       int
+	regionIdx    int
 	iter         int64
 	regionAccess [MaxRegions + 1]uint64
 	iterations   int64
@@ -61,7 +61,7 @@ func (m *Machine) Fork() *Snapshot {
 		hier:         m.hier.Snapshot(),
 		inMainLoop:   m.inMainLoop,
 		mainAccess:   m.mainAccess,
-		region:       m.region,
+		regionIdx:    m.regionIdx,
 		iter:         m.iter,
 		regionAccess: m.regionAccess,
 		iterations:   m.iterations,
@@ -80,9 +80,10 @@ func (m *Machine) ResumeFrom(s *Snapshot) {
 	m.space.Image().RestoreSnapshot(s.img)
 	m.hier.ResumeFrom(s.hier)
 	m.inMainLoop = s.inMainLoop
-	m.mainAccess = s.mainAccess
+	m.setClock(s.mainAccess)
 	m.crashAt = 0
-	m.region = s.region
+	m.arm()
+	m.regionIdx = s.regionIdx
 	m.iter = s.iter
 	m.regionAccess = s.regionAccess
 	m.iterations = s.iterations

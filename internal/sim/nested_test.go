@@ -126,3 +126,70 @@ func TestRearmCrashResyncsInFlightWindow(t *testing.T) {
 		t.Fatalf("second crash tore %d words of a settled restore write, want 0", got.TornWords)
 	}
 }
+
+// The inlined tick looks at one threshold only, so every call that moves the
+// armed crash, the interrupt stride, the crash clock or the attached
+// injector/recorder must leave nextEvent at the next thing that can happen:
+// the earlier of the crash and the interrupt check, or every tick while a
+// write window needs re-anchoring. The interrupt stride must also survive
+// the clock moves of RearmCrash and ResumeFrom with the distance it had left.
+func TestTickThresholdStaysCoherent(t *testing.T) {
+	m := newM(t)
+	x := m.F64(m.Space().AllocF64("x", 64, true))
+	const never = ^uint64(0)
+	check := func(m *Machine, when string, want uint64) {
+		t.Helper()
+		if m.nextEvent != want {
+			t.Fatalf("%s: nextEvent = %d, want %d", when, m.nextEvent, want)
+		}
+	}
+	check(m, "fresh machine", never)
+
+	var fired []uint64
+	poll := func() error { fired = append(fired, m.MainAccesses()); return nil }
+	m.SetInterrupt(10, poll)
+	check(m, "interrupt every 10", 10)
+	m.SetCrashAfter(25)
+	check(m, "crash armed behind the interrupt", 10)
+
+	m.MainLoopBegin()
+	buf := make([]float64, 17)
+	x.LoadRun(0, buf) // batches split around the check on the 10th tick
+	check(m, "17 batched ticks in", 20)
+
+	// A recovery run: the clock restarts, the stride keeps its 3 ticks.
+	m.RearmCrash(5)
+	check(m, "re-armed for the recovery", 3)
+	x.LoadRun(0, buf[:4])
+	check(m, "4 recovery ticks in", 5)
+	func() {
+		defer func() {
+			if c, ok := recover().(*Crash); !ok || c.Access != 5 {
+				t.Fatalf("recovered %v, want the crash at recovery access 5", c)
+			}
+		}()
+		x.At(0)
+	}()
+	check(m, "after the crash fired", 13)
+	if len(fired) != 2 || fired[0] != 10 || fired[1] != 3 {
+		t.Fatalf("interrupt checks ran at clock readings %v, want [10 3]", fired)
+	}
+
+	m.AttachFaults(faultmodel.New(faultmodel.Config{TornWrites: true}, 1))
+	check(m, "injector attached", 0)
+	m.AttachFaults(nil)
+	check(m, "injector detached", 13)
+	m.AttachRecorder(&faultmodel.Recorder{})
+	check(m, "recorder attached", 0)
+	m.AttachRecorder(nil)
+	check(m, "recorder detached", 13)
+
+	// A snapshot taken at clock reading 5 moves the resuming machine's
+	// clock there; its own stride comes along.
+	r := newM(t)
+	r.SetInterrupt(100, func() error { return nil })
+	r.ResumeFrom(m.Fork())
+	check(r, "resumed at clock reading 5", 105)
+	r.Reset()
+	check(r, "reset", never)
+}

@@ -84,7 +84,13 @@ type Machine struct {
 	mainAccess uint64 // demand accesses issued inside the main loop
 	crashAt    uint64 // fire a crash when mainAccess reaches this; 0 = never
 
-	region       int
+	// nextEvent is the one threshold the inlined crash-clock tick compares
+	// mainAccess against: the earlier of crashAt and intrAt, or 0 — every
+	// tick — while an injector or recorder needs its write window
+	// re-anchored per tick. Whatever moves one of those calls arm().
+	nextEvent uint64
+
+	regionIdx    int // active region + 1, the regionAccess index; 0 outside any marked region
 	iter         int64
 	regionAccess [MaxRegions + 1]uint64 // per-region counts; index region+1 (0 = NoRegion)
 	iterations   int64                  // completed main-loop iterations
@@ -112,12 +118,13 @@ type Machine struct {
 	// exclusive with faults; shares lastWriteSeq as its window anchor.
 	recorder *faultmodel.Recorder
 
-	// intrFn is invoked every intrEvery crash-clock ticks; a non-nil error
-	// aborts the run by panicking with *Abort. Used for per-test deadlines
-	// and campaign cancellation; nil costs one predictable branch per tick.
+	// intrFn is invoked every intrEvery crash-clock ticks — next when
+	// mainAccess reaches intrAt; a non-nil error aborts the run by panicking
+	// with *Abort. Used for per-test deadlines and campaign cancellation;
+	// between checks it costs the tick nothing.
 	intrFn    func() error
 	intrEvery uint64
-	intrCount uint64
+	intrAt    uint64
 
 	// forkFn, when set, replaces the crash panic: the armed point calls the
 	// hook (which typically Forks the machine) and execution continues with
@@ -155,11 +162,12 @@ type PersistStats struct {
 // capacity, with the given cache configuration.
 func NewMachine(nvmBytes uint64, cfg cachesim.Config) *Machine {
 	space := mem.NewSpace(nvmBytes)
-	return &Machine{
-		space:  space,
-		hier:   cachesim.New(cfg, space.Image()),
-		region: NoRegion,
+	m := &Machine{
+		space: space,
+		hier:  cachesim.New(cfg, space.Image()),
 	}
+	m.arm()
+	return m
 }
 
 // Reset returns the machine to its as-constructed state — empty object
@@ -173,7 +181,7 @@ func (m *Machine) Reset() {
 	m.inMainLoop = false
 	m.mainAccess = 0
 	m.crashAt = 0
-	m.region = NoRegion
+	m.regionIdx = 0
 	m.iter = 0
 	m.regionAccess = [MaxRegions + 1]uint64{}
 	m.iterations = 0
@@ -184,9 +192,10 @@ func (m *Machine) Reset() {
 	m.faults = nil
 	m.recorder = nil
 	m.lastWriteSeq = 0
-	m.intrFn, m.intrEvery, m.intrCount = nil, 0, 0
+	m.intrFn, m.intrEvery, m.intrAt = nil, 0, 0
 	m.forkFn = nil
 	m.scalarAccess = false
+	m.arm()
 	if m.resumeExtent != 0 {
 		// A resumed machine carries restored image bytes beyond its own
 		// space's (empty) allocation extent; clear them too.
@@ -225,6 +234,7 @@ func (m *Machine) PersistStats() PersistStats { return m.persist }
 // nil detaches (perfect media, the paper's assumption).
 func (m *Machine) AttachFaults(in *faultmodel.Injector) {
 	m.faults = in
+	m.arm()
 	if in == nil {
 		m.space.Image().SetWriteHook(nil)
 		return
@@ -244,6 +254,7 @@ func (m *Machine) AttachRecorder(r *faultmodel.Recorder) {
 		panic("sim: AttachRecorder with a fault injector attached")
 	}
 	m.recorder = r
+	m.arm()
 	if r == nil {
 		m.space.Image().SetWriteHook(nil)
 		return
@@ -271,7 +282,8 @@ func (m *Machine) SetInterrupt(every uint64, fn func() error) {
 	if every == 0 {
 		every = DefaultInterruptStride
 	}
-	m.intrFn, m.intrEvery, m.intrCount = fn, every, 0
+	m.intrFn, m.intrEvery, m.intrAt = fn, every, m.mainAccess+every
+	m.arm()
 }
 
 // CrashWithFaults simulates power loss on imperfect media: volatile caches
@@ -288,7 +300,10 @@ func (m *Machine) CrashWithFaults() faultmodel.Injection {
 
 // SetCrashAfter arms a crash to fire when the n-th demand access inside the
 // main loop is issued (1-based). n = 0 disarms.
-func (m *Machine) SetCrashAfter(n uint64) { m.crashAt = n }
+func (m *Machine) SetCrashAfter(n uint64) {
+	m.crashAt = n
+	m.arm()
+}
 
 // RearmCrash arms a crash for a recovery run: the crash clock restarts
 // counting demand accesses from zero, so n is measured from the start of the
@@ -305,13 +320,10 @@ func (m *Machine) SetCrashAfter(n uint64) { m.crashAt = n }
 // cache/NVM state are preserved — the recovery continues on the machine as
 // the restart left it. n = 0 resets the clock and disarms.
 func (m *Machine) RearmCrash(n uint64) {
-	m.mainAccess = 0
+	m.setClock(0)
 	m.crashAt = n
-	if m.faults != nil {
-		m.lastWriteSeq = m.faults.WriteSeq()
-	} else if m.recorder != nil {
-		m.lastWriteSeq = m.recorder.WriteSeq()
-	}
+	m.arm()
+	m.resyncWrites()
 }
 
 // MainAccesses returns the number of demand accesses issued inside the main
@@ -339,7 +351,7 @@ func (m *Machine) Iterations() int64 { return m.iterations }
 func (m *Machine) MainLoopBegin() { m.inMainLoop = true }
 
 // MainLoopEnd marks the end of the main computation loop.
-func (m *Machine) MainLoopEnd() { m.inMainLoop = false; m.region = NoRegion }
+func (m *Machine) MainLoopEnd() { m.inMainLoop = false; m.regionIdx = 0 }
 
 // BeginIteration records the current main-loop iteration number (0-based).
 func (m *Machine) BeginIteration(it int64) { m.iter = it }
@@ -358,7 +370,7 @@ func (m *Machine) BeginRegion(k int) {
 	if k < 0 || k >= MaxRegions {
 		panic(fmt.Sprintf("sim: region %d out of range [0,%d)", k, MaxRegions))
 	}
-	m.region = k
+	m.regionIdx = k + 1
 }
 
 // EndRegion marks exit from code region k and invokes the persistence
@@ -367,19 +379,71 @@ func (m *Machine) EndRegion(k int) {
 	if m.persister != nil {
 		m.persister.RegionEnd(m, k, m.iter)
 	}
-	m.region = NoRegion
+	m.regionIdx = 0
 }
 
 // Region returns the currently active region, or NoRegion.
-func (m *Machine) Region() int { return m.region }
+func (m *Machine) Region() int { return m.regionIdx - 1 }
 
-// account counts one demand access and fires the armed crash if reached.
-func (m *Machine) account() {
-	if !m.inMainLoop {
-		return
+// tick counts one demand access. It is small enough to inline into every
+// typed accessor — just: at inline cost 79 of the compiler's 80, so check
+// `go build -gcflags=-m=2 ./internal/sim` still reports "can inline
+// (*Machine).tick" after touching it. Whatever can fire or must be
+// re-anchored at this tick happens out of line in event.
+func (m *Machine) tick() {
+	if m.inMainLoop {
+		m.mainAccess++
+		m.regionAccess[m.regionIdx]++
+		if m.mainAccess >= m.nextEvent {
+			m.event()
+		}
 	}
-	m.mainAccess++
-	m.regionAccess[m.region+1]++
+}
+
+// fireAt returns the crash-clock reading at which the armed crash or the
+// interrupt check next fires, whichever is earlier (never: the maximum).
+func (m *Machine) fireAt() uint64 {
+	at := ^uint64(0)
+	if m.crashAt != 0 {
+		at = m.crashAt
+	}
+	if m.intrFn != nil && m.intrAt < at {
+		at = m.intrAt
+	}
+	return at
+}
+
+// arm recomputes the tick's threshold.
+func (m *Machine) arm() {
+	m.nextEvent = m.fireAt()
+	if m.faults != nil || m.recorder != nil {
+		m.nextEvent = 0
+	}
+}
+
+// setClock moves the crash clock to n; the interrupt stride keeps the
+// distance it had left.
+func (m *Machine) setClock(n uint64) {
+	if m.intrFn != nil {
+		m.intrAt += n - m.mainAccess
+	}
+	m.mainAccess = n
+}
+
+// resyncWrites re-anchors the in-flight torn-write window at the attached
+// injector's or recorder's current media-write count.
+func (m *Machine) resyncWrites() {
+	if m.faults != nil {
+		m.lastWriteSeq = m.faults.WriteSeq()
+	} else if m.recorder != nil {
+		m.lastWriteSeq = m.recorder.WriteSeq()
+	}
+}
+
+// event is the out-of-line half of tick: it fires the armed crash (or its
+// fork hook) if reached, re-anchors the write window, runs the interrupt
+// check when its stride is up, and leaves the threshold at the next event.
+func (m *Machine) event() {
 	if m.crashAt != 0 && m.mainAccess >= m.crashAt {
 		if m.forkFn != nil {
 			// Prefix-sharing mode: hand the would-be crash to the fork hook
@@ -387,37 +451,33 @@ func (m *Machine) account() {
 			// fires exactly where the panic would — after the crash clock
 			// ticked, before the access completes — so a fork taken inside
 			// it matches the state a live crash leaves behind.
-			m.crashAt = m.forkFn(Crash{Access: m.mainAccess, Region: m.region, Iter: m.iter})
+			m.crashAt = m.forkFn(Crash{Access: m.mainAccess, Region: m.Region(), Iter: m.iter})
 		} else {
 			m.crashAt = 0
+			m.arm()
 			if m.faults != nil && m.faults.WriteSeq() > m.lastWriteSeq {
 				// A media write (eviction write-back or persistence flush)
 				// happened since the previous crash-clock tick: it was in
 				// flight when the power failed, so it is the tear target.
 				m.faults.ArmTear()
 			}
-			panic(&Crash{Access: m.mainAccess, Region: m.region, Iter: m.iter})
+			panic(&Crash{Access: m.mainAccess, Region: m.Region(), Iter: m.iter})
 		}
 	}
-	if m.faults != nil {
-		m.lastWriteSeq = m.faults.WriteSeq()
-	} else if m.recorder != nil {
-		m.lastWriteSeq = m.recorder.WriteSeq()
-	}
-	if m.intrFn != nil {
-		m.intrCount++
-		if m.intrCount >= m.intrEvery {
-			m.intrCount = 0
-			if err := m.intrFn(); err != nil {
-				panic(&Abort{Err: err})
-			}
+	m.resyncWrites()
+	if m.intrFn != nil && m.mainAccess >= m.intrAt {
+		m.intrAt = m.mainAccess + m.intrEvery
+		m.arm()
+		if err := m.intrFn(); err != nil {
+			panic(&Abort{Err: err})
 		}
 	}
+	m.arm()
 }
 
 // LoadF64 loads a float64 through the cache.
 func (m *Machine) LoadF64(addr uint64) float64 {
-	m.account()
+	m.tick()
 	m.hier.Load(0, addr, m.buf[:])
 	if m.observer != nil {
 		m.observer.Access(addr, 8, false)
@@ -427,7 +487,7 @@ func (m *Machine) LoadF64(addr uint64) float64 {
 
 // StoreF64 stores a float64 through the cache.
 func (m *Machine) StoreF64(addr uint64, v float64) {
-	m.account()
+	m.tick()
 	binary.LittleEndian.PutUint64(m.buf[:], math.Float64bits(v))
 	m.hier.Store(0, addr, m.buf[:])
 	if m.observer != nil {
@@ -437,7 +497,7 @@ func (m *Machine) StoreF64(addr uint64, v float64) {
 
 // LoadI64 loads an int64 through the cache.
 func (m *Machine) LoadI64(addr uint64) int64 {
-	m.account()
+	m.tick()
 	m.hier.Load(0, addr, m.buf[:])
 	if m.observer != nil {
 		m.observer.Access(addr, 8, false)
@@ -447,7 +507,7 @@ func (m *Machine) LoadI64(addr uint64) int64 {
 
 // StoreI64 stores an int64 through the cache.
 func (m *Machine) StoreI64(addr uint64, v int64) {
-	m.account()
+	m.tick()
 	binary.LittleEndian.PutUint64(m.buf[:], uint64(v))
 	m.hier.Store(0, addr, m.buf[:])
 	if m.observer != nil {
@@ -535,11 +595,7 @@ func (m *Machine) FlushRange(addr, size uint64, op cachesim.FlushOp) cachesim.Fl
 	m.persist.BlocksIssued += r.Blocks
 	m.persist.DirtyFlushed += r.DirtyFlushed
 	m.persist.CleanFlushed += r.CleanFlushed
-	if m.faults != nil {
-		m.lastWriteSeq = m.faults.WriteSeq()
-	} else if m.recorder != nil {
-		m.lastWriteSeq = m.recorder.WriteSeq()
-	}
+	m.resyncWrites()
 	return r
 }
 
@@ -563,7 +619,7 @@ func (m *Machine) flushRange(addr, size uint64, op cachesim.FlushOp) cachesim.Fl
 		total.Blocks += r.Blocks
 		total.DirtyFlushed += r.DirtyFlushed
 		total.CleanFlushed += r.CleanFlushed
-		m.account() // one crash-clock tick per block flush
+		m.tick() // one crash-clock tick per block flush
 	}
 	return total
 }
