@@ -1,8 +1,9 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out: how much
-// of the recomputability and overhead results depend on the cache
-// replacement policy, the flush instruction, the persistence frequency, and
-// the cache size. The paper fixes these (LRU, CLFLUSHOPT, knapsack-chosen
-// frequency, one Xeon geometry); the ablations quantify the sensitivity.
+// Ablation rows of the figure runner for the design choices DESIGN.md calls
+// out: how much of the recomputability and overhead results depend on the
+// cache replacement policy, the flush instruction, the persistence
+// frequency, and the cache size. The paper fixes these (LRU, CLFLUSHOPT,
+// knapsack-chosen frequency, one Xeon geometry); the ablations quantify the
+// sensitivity.
 package easycrash_test
 
 import (
@@ -15,121 +16,77 @@ import (
 	"easycrash/internal/nvmperf"
 )
 
-func ablationTester(b *testing.B, kernel string, cfg cachesim.Config) *nvct.Tester {
-	b.Helper()
-	f, err := apps.New(kernel, apps.ProfileTest)
-	if err != nil {
-		b.Fatal(err)
-	}
-	t, err := nvct.NewTester(f, nvct.Config{Cache: cfg})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return t
-}
+func BenchmarkAblationReplacement(b *testing.B) { regenerate(b) }
+func BenchmarkAblationFlushOp(b *testing.B)     { regenerate(b) }
+func BenchmarkAblationFrequency(b *testing.B)   { regenerate(b) }
+func BenchmarkAblationCacheSize(b *testing.B)   { regenerate(b) }
 
-// BenchmarkAblationReplacement measures how the replacement policy shifts
-// LU's intrinsic and EasyCrash recomputability. Replacement order decides
-// when dirty blocks drain to NVM naturally, so the baseline is sensitive;
+// ablationReplacement measures how the replacement policy shifts LU's
+// intrinsic and EasyCrash recomputability. Replacement order decides when
+// dirty blocks drain to NVM naturally, so the baseline is sensitive;
 // explicit flushing should largely erase the difference.
-func BenchmarkAblationReplacement(b *testing.B) {
-	var lines []string
+func ablationReplacement(tb testing.TB) artifact {
+	a := artifact{lines: []string{"\n=== Ablation: cache replacement policy (LU) ==="}}
 	for _, rp := range []cachesim.Replacement{cachesim.LRU, cachesim.FIFO, cachesim.Random} {
 		cfg := cachesim.TestConfig()
 		cfg.Replace = rp
-		t := ablationTester(b, "lu", cfg)
+		t := newTester(tb, "lu", apps.ProfileTest, cfg)
 		opts := nvct.CampaignOpts{Tests: campaignTests() / 2, Seed: 8}
 		base := t.RunCampaign(nil, opts).Recomputability()
 		ec := t.RunCampaign(nvct.IterationPolicy([]string{"u", "scal"}), opts).Recomputability()
-		lines = append(lines, fmt.Sprintf("  %-7s baseline %.2f  easycrash %.2f", rp, base, ec))
+		a.printf("  %-7s baseline %.2f  easycrash %.2f", rp, base, ec)
 	}
-	once("ablation-replacement", func() {
-		fmt.Println("\n=== Ablation: cache replacement policy (LU) ===")
-		for _, l := range lines {
-			fmt.Println(l)
-		}
-	})
-	spin(b)
+	return a
 }
 
-// BenchmarkAblationFlushOp compares CLFLUSHOPT (invalidating) and CLWB
-// (retaining) as the persistence instruction: recomputability should match,
-// while CLWB avoids the reload misses and so costs less time.
-func BenchmarkAblationFlushOp(b *testing.B) {
-	t := lab.tester(b, "mg")
-	var lines []string
+// ablationFlushOp compares CLFLUSHOPT (invalidating) and CLWB (retaining)
+// as the persistence instruction: recomputability should match, while CLWB
+// avoids the reload misses and so costs less time.
+func ablationFlushOp(tb testing.TB) artifact {
+	a := artifact{lines: []string{"\n=== Ablation: flush instruction (MG, persist u) ==="}}
+	t := tester(tb, "mg")
 	for _, op := range []cachesim.FlushOp{cachesim.CLFLUSHOPT, cachesim.CLWB, cachesim.CLFLUSH} {
 		policy := &nvct.Policy{Objects: []string{"u"}, AtIterationEnd: true, Frequency: 1, Op: op}
 		rec := t.RunCampaign(policy, nvct.CampaignOpts{Tests: campaignTests() / 2, Seed: 9}).Recomputability()
-		run, err := t.ProfileRun(policy)
-		if err != nil {
-			b.Fatal(err)
-		}
-		base, err := t.ProfileRun(nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+		run, base := profileRun(tb, t, policy), profileRun(tb, t, nil)
 		norm := nvmperf.OptaneDC().Normalized(run.CacheStats, base.CacheStats)
-		lines = append(lines, fmt.Sprintf("  %-10s R %.2f  normalized time (optane) %.3f", op, rec, norm))
+		a.printf("  %-10s R %.2f  normalized time (optane) %.3f", op, rec, norm)
 	}
-	once("ablation-flushop", func() {
-		fmt.Println("\n=== Ablation: flush instruction (MG, persist u) ===")
-		for _, l := range lines {
-			fmt.Println(l)
-		}
-	})
-	spin(b)
+	return a
 }
 
-// BenchmarkAblationFrequency sweeps the persistence period x (Equation 5's
-// control knob): recomputability should fall roughly as 1/x while the
-// persistence work shrinks.
-func BenchmarkAblationFrequency(b *testing.B) {
-	t := lab.tester(b, "mg")
-	var lines []string
+// ablationFrequency sweeps the persistence period x (Equation 5's control
+// knob): recomputability should fall roughly as 1/x while the persistence
+// work shrinks.
+func ablationFrequency(tb testing.TB) artifact {
+	a := artifact{lines: []string{"\n=== Ablation: persistence frequency x (MG, persist u) ==="}}
+	t := tester(tb, "mg")
 	for _, x := range []int64{1, 2, 4, 8} {
 		policy := nvct.IterationPolicy([]string{"u"})
 		policy.Frequency = x
 		rec := t.RunCampaign(policy, nvct.CampaignOpts{Tests: campaignTests() / 2, Seed: 10}).Recomputability()
-		run, err := t.ProfileRun(policy)
-		if err != nil {
-			b.Fatal(err)
-		}
-		lines = append(lines, fmt.Sprintf("  x=%d  R %.2f  persistence ops %d  dirty flushes %d",
-			x, rec, run.PersistStats.Operations, run.PersistStats.DirtyFlushed))
+		run := profileRun(tb, t, policy)
+		a.printf("  x=%d  R %.2f  persistence ops %d  dirty flushes %d",
+			x, rec, run.PersistStats.Operations, run.PersistStats.DirtyFlushed)
 	}
-	once("ablation-frequency", func() {
-		fmt.Println("\n=== Ablation: persistence frequency x (MG, persist u) ===")
-		for _, l := range lines {
-			fmt.Println(l)
-		}
-	})
-	spin(b)
+	return a
 }
 
-// BenchmarkAblationCacheSize scales the LLC: a larger cache keeps more
-// dirty state volatile (less natural persistence), depressing intrinsic
-// recomputability — the effect behind the paper's footprint-vs-LLC framing.
-func BenchmarkAblationCacheSize(b *testing.B) {
-	var lines []string
+// ablationCacheSize scales the LLC: a larger cache keeps more dirty state
+// volatile (less natural persistence), depressing intrinsic recomputability
+// — the effect behind the paper's footprint-vs-LLC framing.
+func ablationCacheSize(tb testing.TB) artifact {
+	a := artifact{lines: []string{"\n=== Ablation: LLC size (MG) ==="}}
 	for _, llcKiB := range []int{16, 32, 64} {
 		cfg := cachesim.TestConfig()
 		cfg.Name = fmt.Sprintf("llc-%dk", llcKiB)
 		cfg.Levels[2].Size = llcKiB << 10
-		if cfg.Levels[1].Size > cfg.Levels[2].Size {
-			cfg.Levels[1].Size = cfg.Levels[2].Size
-		}
-		t := ablationTester(b, "mg", cfg)
-		base := t.RunCampaign(nil, nvct.CampaignOpts{Tests: campaignTests() / 2, Seed: 11}).Recomputability()
-		ec := t.RunCampaign(nvct.IterationPolicy([]string{"u"}),
-			nvct.CampaignOpts{Tests: campaignTests() / 2, Seed: 11}).Recomputability()
-		lines = append(lines, fmt.Sprintf("  LLC %2d KiB  baseline %.2f  easycrash %.2f", llcKiB, base, ec))
+		cfg.Levels[1].Size = min(cfg.Levels[1].Size, cfg.Levels[2].Size)
+		t := newTester(tb, "mg", apps.ProfileTest, cfg)
+		opts := nvct.CampaignOpts{Tests: campaignTests() / 2, Seed: 11}
+		base := t.RunCampaign(nil, opts).Recomputability()
+		ec := t.RunCampaign(nvct.IterationPolicy([]string{"u"}), opts).Recomputability()
+		a.printf("  LLC %2d KiB  baseline %.2f  easycrash %.2f", llcKiB, base, ec)
 	}
-	once("ablation-cachesize", func() {
-		fmt.Println("\n=== Ablation: LLC size (MG) ===")
-		for _, l := range lines {
-			fmt.Println(l)
-		}
-	})
-	spin(b)
+	return a
 }

@@ -32,9 +32,7 @@ func main() {
 
 		// Let the framework pick the critical objects and regions, then
 		// compare the write traffic of its policy against checkpointing.
-		result, err := easycrash.RunWithTester(tester, easycrash.Config{
-			Tests: 60, Seed: 3, SkipValidation: true,
-		})
+		result, err := easycrash.RunWithTester(tester, easycrash.Config{Tests: 60, Seed: 3})
 		if err != nil {
 			log.Fatal(err)
 		}

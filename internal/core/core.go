@@ -19,8 +19,8 @@
 //	         region's flush cost l_k, interpolate persistence frequency via
 //	         Equation 5, and solve the 0-1 knapsack maximising predicted
 //	         recomputability under l ≤ t_s.
-//	Step 4 — emit the production persistence policy and (optionally)
-//	         validate it with a final campaign.
+//	Step 4 — emit the production persistence policy and validate it with
+//	         a final campaign.
 package core
 
 import (
@@ -40,6 +40,16 @@ import (
 // pThreshold is the Step-2 Spearman p-value cutoff (the paper's 0.01).
 const pThreshold = 0.01
 
+// flushAccessCost is the estimated cost of flushing one cache block, in
+// demand-access time units. Following §5.2 the estimate assumes every block
+// is resident and dirty (2) and doubles that to account for
+// invalidation-induced reloads.
+const flushAccessCost = 4
+
+// frequencies are the persistence periods x explored for loop-based regions
+// (Equation 5).
+var frequencies = []int64{1, 2, 4, 8}
+
 // Config parameterises the framework.
 type Config struct {
 	// Ts is the runtime-overhead budget as a fraction of execution time
@@ -55,16 +65,6 @@ type Config struct {
 	Tests int
 	// Seed seeds the campaigns.
 	Seed int64
-	// FlushAccessCost is the estimated cost of flushing one cache block,
-	// expressed in demand-access time units. Following §5.2 the estimate
-	// assumes every block is resident and dirty and doubles the cost to
-	// account for invalidation-induced reloads; zero means 4 (2 doubled).
-	FlushAccessCost float64
-	// Frequencies are the persistence periods x explored for loop-based
-	// regions (Equation 5); nil means {1, 2, 4, 8}.
-	Frequencies []int64
-	// SkipValidation skips the final measurement campaign.
-	SkipValidation bool
 	// Faults configures the NVM media-fault layer for every campaign the
 	// workflow runs (zero = the paper's intact-NVM assumption). Step 4's
 	// production validation additionally enables the scrub-and-fallback
@@ -92,12 +92,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Tests == 0 {
 		c.Tests = 100
-	}
-	if c.FlushAccessCost == 0 {
-		c.FlushAccessCost = 4
-	}
-	if len(c.Frequencies) == 0 {
-		c.Frequencies = []int64{1, 2, 4, 8}
 	}
 	return c
 }
@@ -146,8 +140,8 @@ type Result struct {
 	// chosen).
 	Policy *nvct.Policy
 	// Baseline and CriticalEverywhere are the Step-1 and Step-3 campaign
-	// reports; Final is the Step-4 validation campaign (nil when skipped
-	// or when no policy was produced).
+	// reports; Final is the Step-4 validation campaign (nil when no policy
+	// was produced).
 	Baseline           *nvct.Report
 	CriticalEverywhere *nvct.Report
 	Final              *nvct.Report
@@ -164,7 +158,7 @@ func (r *Result) AchievedY() float64 {
 
 // FinalViolations returns the Step-4 validation campaign's crash-consistency
 // evidence: the number of trials the oracle classified SViol and the total
-// violations itemised across them. Both are zero when validation was skipped
+// violations itemised across them. Both are zero when no policy was validated
 // or the workload carries no consistency oracle. A nonzero count means the
 // shipped policy leaves the workload crash-inconsistent — recomputability
 // alone cannot surface that, since a violating trial still recomputes.
@@ -259,7 +253,7 @@ func RunWithTesterContext(ctx context.Context, tester *nvct.Tester, cfg Config) 
 	// validation additionally runs the nested-failure model, so the shipped
 	// policy is the one that stays recoverable when the recovery runs (the
 	// scrub fallback included) are themselves interrupted.
-	if res.Policy != nil && !cfg.SkipValidation {
+	if res.Policy != nil {
 		prodOpts := nvct.CampaignOpts{
 			Tests: cfg.Tests, Seed: cfg.Seed + 2, Faults: cfg.Faults, ScrubOnRestart: true,
 			RecrashDepth: cfg.RecrashDepth, RetryBudget: cfg.RetryBudget, TrialDeadline: cfg.TrialDeadline,
@@ -297,7 +291,7 @@ func iterationEndPolicy(res *Result, cfg Config) *nvct.Policy {
 	}
 	loss := res.Regions[0].Loss
 	freq := int64(0)
-	for _, x := range cfg.Frequencies {
+	for _, x := range frequencies {
 		if loss/float64(x) <= cfg.Ts {
 			freq = x
 			break
@@ -318,16 +312,6 @@ func iterationEndPolicy(res *Result, cfg Config) *nvct.Policy {
 // candidate's inconsistency rate and recomputation success, selecting
 // objects with negative correlation significant at pThreshold.
 func SelectObjects(baseline *nvct.Report, pThreshold float64) ([]ObjectAnalysis, []string) {
-	return SelectObjectsWith(baseline, pThreshold, "spearman")
-}
-
-// SelectObjectsWith is SelectObjects with a selectable rank-correlation
-// test ("spearman" or "kendall" — an ablation of the paper's choice).
-func SelectObjectsWith(baseline *nvct.Report, pThreshold float64, method string) ([]ObjectAnalysis, []string) {
-	correlate := stats.Spearman
-	if method == "kendall" {
-		correlate = stats.KendallTau
-	}
 	vectors := baseline.InconsistencyVectors()
 	names := make([]string, 0, len(vectors))
 	//eclint:allow campaigndet — key collection, sorted below
@@ -341,7 +325,7 @@ func SelectObjectsWith(baseline *nvct.Report, pThreshold float64, method string)
 	for _, name := range names {
 		v := vectors[name]
 		a := ObjectAnalysis{Name: name}
-		c, err := correlate(v[0], v[1])
+		c, err := stats.Spearman(v[0], v[1])
 		switch {
 		case err == stats.ErrConstantInput:
 			a.Reason = "constant input (no variation to correlate)"
@@ -396,7 +380,7 @@ func SelectRegions(golden nvct.Golden, baseline, everywhere *nvct.Report, critic
 		}
 	}
 	blocks := float64((criticalBytes + 63) / 64)
-	lossPerRegion := float64(golden.Iters) * blocks * cfg.FlushAccessCost / float64(golden.MainAccesses)
+	lossPerRegion := float64(golden.Iters) * blocks * flushAccessCost / float64(golden.MainAccesses)
 
 	regions := make([]RegionAnalysis, golden.Regions)
 	for k := 0; k < golden.Regions; k++ {
@@ -419,7 +403,7 @@ func SelectRegions(golden nvct.Golden, baseline, everywhere *nvct.Report, critic
 	// gain and the loss scale with the persistence period.
 	bestY, bestFreq := baseY, int64(1)
 	var bestChosen []int
-	for _, x := range cfg.Frequencies {
+	for _, x := range frequencies {
 		items := make([]knapsack.Item, len(regions))
 		for k, r := range regions {
 			gain := r.CMax - r.C

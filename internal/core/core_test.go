@@ -171,8 +171,10 @@ func TestSelectRegionsEquationFive(t *testing.T) {
 	}
 	// Fabricate a critical set with a known size via golden.Candidates.
 	golden.Candidates = append(golden.Candidates, mem.Object{Name: "x", Size: 64 * 100, Candidate: true}) // 100 blocks
-	cfg := core.Config{Ts: 0.02, FlushAccessCost: 1, Frequencies: []int64{1, 2, 4, 8}}
-	// Loss at freq 1 = 10*100*1/10000 = 0.10 > Ts; freq 8 gives 0.0125 <= Ts.
+	cfg := core.Config{Ts: 0.06}
+	// At the fixed flush cost of 4 accesses per block, loss at freq 1 =
+	// 10*100*4/10000 = 0.40 > Ts and freq 4 gives 0.10 > Ts; freq 8 gives
+	// 0.05 <= Ts.
 	regions, chosen, freq, predicted := core.SelectRegions(golden, baseline, everywhere, []string{"x"}, cfg)
 	if len(chosen) != 1 || freq < 8 {
 		t.Fatalf("chosen=%v freq=%d, want region 0 at freq 8", chosen, freq)
@@ -237,30 +239,6 @@ func TestWorkflowAllKernels(t *testing.T) {
 				t.Fatalf("region analyses %d != regions %d", len(seen), res.Golden.Regions)
 			}
 		})
-	}
-}
-
-func TestKendallSelectionAgreesOnMG(t *testing.T) {
-	// Ablation: Kendall's tau must select the same critical object for MG
-	// as Spearman (the relationship is strongly monotone).
-	f, _ := apps.New("mg", apps.ProfileTest)
-	tester, err := nvct.NewTester(f, nvct.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline := tester.RunCampaign(nil, nvct.CampaignOpts{Tests: 60, Seed: 1})
-	_, spearman := core.SelectObjectsWith(baseline, 0.01, "spearman")
-	_, kendall := core.SelectObjectsWith(baseline, 0.01, "kendall")
-	found := func(sel []string) bool {
-		for _, s := range sel {
-			if s == "u" {
-				return true
-			}
-		}
-		return false
-	}
-	if !found(spearman) || !found(kendall) {
-		t.Fatalf("u not selected by both: spearman=%v kendall=%v", spearman, kendall)
 	}
 }
 

@@ -12,8 +12,6 @@
 package nvmperf
 
 import (
-	"fmt"
-
 	"easycrash/internal/cachesim"
 	"easycrash/internal/sim"
 )
@@ -85,16 +83,6 @@ func OptaneDC() Profile {
 // Profiles returns the evaluation set used by Figures 7 and 8.
 func Profiles() []Profile {
 	return []Profile{DRAM(), Lat4x(), Lat8x(), BW6(), BW8(), OptaneDC()}
-}
-
-// ByName looks up a profile from Profiles.
-func ByName(name string) (Profile, error) {
-	for _, p := range Profiles() {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return Profile{}, fmt.Errorf("nvmperf: unknown profile %q", name)
 }
 
 // Time prices a run's event counts under the profile, in nanoseconds.

@@ -37,16 +37,6 @@ func TestProfilesDistinct(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	p, err := ByName("nvm-4x-latency")
-	if err != nil || p.ReadLat != 4*DRAM().ReadLat {
-		t.Fatalf("ByName(nvm-4x-latency) = %+v, %v", p, err)
-	}
-	if _, err := ByName("nope"); err == nil {
-		t.Fatal("unknown profile accepted")
-	}
-}
-
 func TestTimeScalesWithNVMSlowness(t *testing.T) {
 	s := statsWith(1000, 100, 50, 20, 30)
 	dram := DRAM().Time(s)

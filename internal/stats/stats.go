@@ -1,7 +1,7 @@
 // Package stats provides the statistical machinery EasyCrash's data-object
 // selection relies on (§5.1 of the paper): Spearman's rank correlation
 // coefficient with tie-aware ranking, and its two-tailed p-value via the
-// Student-t approximation, plus small descriptive helpers.
+// Student-t approximation.
 package stats
 
 import (
@@ -17,8 +17,8 @@ var ErrTooFewSamples = errors.New("stats: need at least 3 paired samples")
 // makes the rank correlation undefined.
 var ErrConstantInput = errors.New("stats: input vector is constant")
 
-// Mean returns the arithmetic mean of xs (0 for an empty slice).
-func Mean(xs []float64) float64 {
+// mean returns the arithmetic mean of xs (0 for an empty slice).
+func mean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
@@ -29,12 +29,12 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Variance returns the population variance of xs.
-func Variance(xs []float64) float64 {
+// variance returns the population variance of xs.
+func variance(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	m := Mean(xs)
+	m := mean(xs)
 	var s float64
 	for _, x := range xs {
 		d := x - m
@@ -43,16 +43,16 @@ func Variance(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Ranks assigns fractional ranks (1-based), averaging ranks across ties —
+// ranks assigns fractional ranks (1-based), averaging ranks across ties —
 // the ranking Spearman's coefficient requires.
-func Ranks(xs []float64) []float64 {
+func ranks(xs []float64) []float64 {
 	n := len(xs)
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
 	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	ranks := make([]float64, n)
+	r := make([]float64, n)
 	for i := 0; i < n; {
 		j := i
 		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
@@ -61,23 +61,23 @@ func Ranks(xs []float64) []float64 {
 		// Average rank for the tie group [i, j].
 		avg := float64(i+j)/2 + 1
 		for k := i; k <= j; k++ {
-			ranks[idx[k]] = avg
+			r[idx[k]] = avg
 		}
 		i = j + 1
 	}
-	return ranks
+	return r
 }
 
-// Pearson returns the Pearson product-moment correlation of two equal-length
+// pearson returns the Pearson product-moment correlation of two equal-length
 // vectors. It returns ErrConstantInput if either vector has zero variance.
-func Pearson(xs, ys []float64) (float64, error) {
+func pearson(xs, ys []float64) (float64, error) {
 	if len(xs) != len(ys) {
 		return 0, errors.New("stats: length mismatch")
 	}
 	if len(xs) < 2 {
 		return 0, ErrTooFewSamples
 	}
-	mx, my := Mean(xs), Mean(ys)
+	mx, my := mean(xs), mean(ys)
 	var sxy, sxx, syy float64
 	for i := range xs {
 		dx, dy := xs[i]-mx, ys[i]-my
@@ -117,7 +117,7 @@ func Spearman(xs, ys []float64) (Correlation, error) {
 	if n < 3 {
 		return Correlation{}, ErrTooFewSamples
 	}
-	rs, err := Pearson(Ranks(xs), Ranks(ys))
+	rs, err := pearson(ranks(xs), ranks(ys))
 	if err != nil {
 		return Correlation{}, err
 	}
@@ -134,18 +134,18 @@ func spearmanP(rs float64, n int) float64 {
 	}
 	df := float64(n - 2)
 	t := rs * math.Sqrt(df/(1-rs*rs))
-	return TCDF2Tail(t, df)
+	return tcdf2Tail(t, df)
 }
 
-// TCDF2Tail returns the two-tailed tail probability P(|T| >= |t|) for a
+// tcdf2Tail returns the two-tailed tail probability P(|T| >= |t|) for a
 // Student-t variate with df degrees of freedom, via the regularized
 // incomplete beta function: P = I_{df/(df+t²)}(df/2, 1/2).
-func TCDF2Tail(t, df float64) float64 {
+func tcdf2Tail(t, df float64) float64 {
 	if math.IsNaN(t) || df <= 0 {
 		return math.NaN()
 	}
 	x := df / (df + t*t)
-	p := RegIncBeta(df/2, 0.5, x)
+	p := regIncBeta(df/2, 0.5, x)
 	if p < 0 {
 		p = 0
 	} else if p > 1 {
@@ -154,10 +154,10 @@ func TCDF2Tail(t, df float64) float64 {
 	return p
 }
 
-// RegIncBeta computes the regularized incomplete beta function I_x(a, b)
+// regIncBeta computes the regularized incomplete beta function I_x(a, b)
 // using the continued-fraction expansion (Lentz's method), the standard
 // numerical approach for t- and F-distribution tails.
-func RegIncBeta(a, b, x float64) float64 {
+func regIncBeta(a, b, x float64) float64 {
 	switch {
 	case x <= 0:
 		return 0
@@ -223,55 +223,4 @@ func betaCF(a, b, x float64) float64 {
 		}
 	}
 	return h
-}
-
-// KendallTau computes Kendall's tau-b rank correlation between xs and ys
-// (tie-corrected), with a normal-approximation two-tailed p-value. It is an
-// alternative to Spearman for the critical-object selection; the two agree
-// on direction and significance for the monotone relationships EasyCrash
-// cares about, and the ablation harness compares them.
-func KendallTau(xs, ys []float64) (Correlation, error) {
-	if len(xs) != len(ys) {
-		return Correlation{}, errors.New("stats: length mismatch")
-	}
-	n := len(xs)
-	if n < 3 {
-		return Correlation{}, ErrTooFewSamples
-	}
-	var concordant, discordant float64
-	var tiesX, tiesY float64
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			dx := xs[i] - xs[j]
-			dy := ys[i] - ys[j]
-			switch {
-			case dx == 0 && dy == 0:
-				// Joint tie: contributes to neither denominator term.
-			case dx == 0:
-				tiesX++
-			case dy == 0:
-				tiesY++
-			case dx*dy > 0:
-				concordant++
-			default:
-				discordant++
-			}
-		}
-	}
-	denom := math.Sqrt((concordant + discordant + tiesX) * (concordant + discordant + tiesY))
-	if denom == 0 {
-		return Correlation{}, ErrConstantInput
-	}
-	tau := (concordant - discordant) / denom
-	if tau > 1 {
-		tau = 1
-	} else if tau < -1 {
-		tau = -1
-	}
-	// Normal approximation for the null distribution of tau.
-	nf := float64(n)
-	sigma := math.Sqrt(2 * (2*nf + 5) / (9 * nf * (nf - 1)))
-	z := tau / sigma
-	p := math.Erfc(math.Abs(z) / math.Sqrt2)
-	return Correlation{Rs: tau, P: p, N: n}, nil
 }

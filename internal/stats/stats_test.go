@@ -10,20 +10,20 @@ import (
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestMeanVariance(t *testing.T) {
-	if Mean(nil) != 0 || Variance(nil) != 0 {
+	if mean(nil) != 0 || variance(nil) != 0 {
 		t.Fatal("empty-slice mean/variance not 0")
 	}
 	xs := []float64{1, 2, 3, 4}
-	if got := Mean(xs); got != 2.5 {
+	if got := mean(xs); got != 2.5 {
 		t.Fatalf("Mean = %v", got)
 	}
-	if got := Variance(xs); !approx(got, 1.25, 1e-12) {
+	if got := variance(xs); !approx(got, 1.25, 1e-12) {
 		t.Fatalf("Variance = %v", got)
 	}
 }
 
 func TestRanksNoTies(t *testing.T) {
-	got := Ranks([]float64{30, 10, 20})
+	got := ranks([]float64{30, 10, 20})
 	want := []float64{3, 1, 2}
 	for i := range want {
 		if got[i] != want[i] {
@@ -34,7 +34,7 @@ func TestRanksNoTies(t *testing.T) {
 
 func TestRanksWithTies(t *testing.T) {
 	// 5,5 share ranks 2 and 3 -> 2.5 each.
-	got := Ranks([]float64{5, 1, 5, 9})
+	got := ranks([]float64{5, 1, 5, 9})
 	want := []float64{2.5, 1, 2.5, 4}
 	for i := range want {
 		if got[i] != want[i] {
@@ -42,7 +42,7 @@ func TestRanksWithTies(t *testing.T) {
 		}
 	}
 	// All tied: everyone gets the middle rank.
-	got = Ranks([]float64{7, 7, 7})
+	got = ranks([]float64{7, 7, 7})
 	for _, r := range got {
 		if r != 2 {
 			t.Fatalf("all-ties Ranks = %v", got)
@@ -51,13 +51,13 @@ func TestRanksWithTies(t *testing.T) {
 }
 
 func TestPearsonErrors(t *testing.T) {
-	if _, err := Pearson([]float64{1}, []float64{1, 2}); err == nil {
+	if _, err := pearson([]float64{1}, []float64{1, 2}); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	if _, err := Pearson([]float64{1}, []float64{2}); err != ErrTooFewSamples {
+	if _, err := pearson([]float64{1}, []float64{2}); err != ErrTooFewSamples {
 		t.Fatalf("short input: err = %v", err)
 	}
-	if _, err := Pearson([]float64{1, 1, 1}, []float64{1, 2, 3}); err != ErrConstantInput {
+	if _, err := pearson([]float64{1, 1, 1}, []float64{1, 2, 3}); err != ErrConstantInput {
 		t.Fatalf("constant input: err = %v", err)
 	}
 }
@@ -137,19 +137,19 @@ func TestSpearmanErrors(t *testing.T) {
 }
 
 func TestRegIncBetaBounds(t *testing.T) {
-	if RegIncBeta(2, 3, 0) != 0 || RegIncBeta(2, 3, 1) != 1 {
+	if regIncBeta(2, 3, 0) != 0 || regIncBeta(2, 3, 1) != 1 {
 		t.Fatal("boundary values wrong")
 	}
 	// I_x(1,1) = x (uniform distribution).
 	for _, x := range []float64{0.1, 0.25, 0.5, 0.9} {
-		if got := RegIncBeta(1, 1, x); !approx(got, x, 1e-12) {
+		if got := regIncBeta(1, 1, x); !approx(got, x, 1e-12) {
 			t.Fatalf("I_%v(1,1) = %v", x, got)
 		}
 	}
 	// Symmetry: I_x(a,b) = 1 - I_{1-x}(b,a).
 	for _, x := range []float64{0.2, 0.4, 0.6, 0.8} {
-		lhs := RegIncBeta(2.5, 4, x)
-		rhs := 1 - RegIncBeta(4, 2.5, 1-x)
+		lhs := regIncBeta(2.5, 4, x)
+		rhs := 1 - regIncBeta(4, 2.5, 1-x)
 		if !approx(lhs, rhs, 1e-10) {
 			t.Fatalf("symmetry violated at x=%v: %v vs %v", x, lhs, rhs)
 		}
@@ -158,17 +158,17 @@ func TestRegIncBetaBounds(t *testing.T) {
 
 func TestTCDF2TailKnownValues(t *testing.T) {
 	// With df=10, |t|=2.228 is the classic two-tailed 5% critical value.
-	if got := TCDF2Tail(2.228, 10); !approx(got, 0.05, 0.001) {
+	if got := tcdf2Tail(2.228, 10); !approx(got, 0.05, 0.001) {
 		t.Fatalf("t=2.228 df=10: p = %v, want ~0.05", got)
 	}
-	if got := TCDF2Tail(0, 10); !approx(got, 1, 1e-12) {
+	if got := tcdf2Tail(0, 10); !approx(got, 1, 1e-12) {
 		t.Fatalf("t=0: p = %v, want 1", got)
 	}
 	// Symmetric in t.
-	if TCDF2Tail(1.5, 7) != TCDF2Tail(-1.5, 7) {
+	if tcdf2Tail(1.5, 7) != tcdf2Tail(-1.5, 7) {
 		t.Fatal("not symmetric in t")
 	}
-	if !math.IsNaN(TCDF2Tail(math.NaN(), 5)) || !math.IsNaN(TCDF2Tail(1, -1)) {
+	if !math.IsNaN(tcdf2Tail(math.NaN(), 5)) || !math.IsNaN(tcdf2Tail(1, -1)) {
 		t.Fatal("invalid inputs should give NaN")
 	}
 }
@@ -251,58 +251,5 @@ func TestQuickSpearmanNoiseP(t *testing.T) {
 	// At the 1% level we expect about 2 of 200 false positives; allow slack.
 	if small > 12 {
 		t.Fatalf("%d/%d independent trials significant at 1%%", small, trials)
-	}
-}
-
-func TestKendallTauBasics(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	up := []float64{2, 4, 6, 8, 10, 12, 14, 16}
-	c, err := KendallTau(xs, up)
-	if err != nil || c.Rs != 1 {
-		t.Fatalf("perfect concordance: %v, %v", c, err)
-	}
-	if c.P > 0.01 {
-		t.Fatalf("perfect concordance p = %v", c.P)
-	}
-	down := []float64{8, 7, 6, 5, 4, 3, 2, 1}
-	c, _ = KendallTau(xs, down)
-	if c.Rs != -1 {
-		t.Fatalf("perfect discordance: %v", c.Rs)
-	}
-	if _, err := KendallTau([]float64{1, 2}, []float64{1, 2}); err != ErrTooFewSamples {
-		t.Fatalf("short input: %v", err)
-	}
-	if _, err := KendallTau([]float64{1, 1, 1}, []float64{1, 2, 3}); err != ErrConstantInput {
-		t.Fatalf("constant input: %v", err)
-	}
-	if _, err := KendallTau([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-}
-
-// Property: Kendall and Spearman agree in sign for monotone-ish data, and
-// Kendall stays in [-1,1] with p in [0,1].
-func TestQuickKendallAgreesWithSpearmanOnDirection(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 8 + rng.Intn(20)
-		xs := make([]float64, n)
-		ys := make([]float64, n)
-		for i := range xs {
-			xs[i] = float64(i)
-			ys[i] = float64(i)*2 + rng.NormFloat64()*0.5 // strongly increasing
-		}
-		k, err1 := KendallTau(xs, ys)
-		s, err2 := Spearman(xs, ys)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		if k.Rs < -1 || k.Rs > 1 || k.P < 0 || k.P > 1 {
-			return false
-		}
-		return (k.Rs > 0) == (s.Rs > 0)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
 	}
 }
