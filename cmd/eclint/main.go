@@ -1,10 +1,11 @@
 // Command eclint runs the EasyCrash static-analysis suite over Go package
 // patterns and reports violations of the simulation invariants: raw mem.Image
-// access that bypasses the cache hierarchy (directmem), unbalanced
-// region/iteration/main-loop markers (regionpairs), element-index arithmetic
-// missing the 8-byte stride (addrstride), nondeterminism in campaign code
-// (campaigndet), and durable writes reaching a commit mark or acknowledgement
-// without a fenced flush (persistorder).
+// access that bypasses the cache hierarchy (directmem), nondeterminism in
+// campaign code (campaigndet), and durable writes reaching a commit mark or
+// acknowledgement without a fenced flush (persistorder). Each analyzer's
+// package doc names the planted bug that earns it its place (DESIGN.md keeps
+// the mutant table); region and iteration marker pairing is not a lint but a
+// run-time contract of sim.Machine.
 //
 // Usage:
 //

@@ -2,6 +2,7 @@ package main_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -9,66 +10,104 @@ import (
 	"testing"
 
 	"easycrash/internal/analysis"
+	"easycrash/internal/analysis/suite"
 )
 
-// buildEclint compiles the eclint binary into a scratch dir once per test
-// run and returns its path.
-func buildEclint(t *testing.T) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), "eclint")
-	out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput()
+// eclint is the binary the smoke tests run, built once by TestMain.
+var eclint string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "eclint-test")
 	if err != nil {
-		t.Fatalf("building eclint: %v\n%s", err, out)
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	return bin
+	eclint = filepath.Join(dir, "eclint")
+	out, err := exec.Command("go", "build", "-o", eclint, ".").CombinedOutput()
+	code := 1
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "building eclint: %v\n%s", err, out)
+	} else {
+		code = m.Run()
+	}
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// badFixture is the deliberately broken kernel every surviving analyzer
+// fires on.
+const badFixture = "./testdata/src/easycrash/internal/apps/badkernel"
+
+// analyzers are the names suite.All registers.
+var analyzers = []string{"campaigndet", "directmem", "persistorder"}
+
+// moduleRoot returns the module's root directory.
+func moduleRoot(t *testing.T) string {
+	t.Helper()
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return root
 }
 
 // TestSmokeBadFixture runs eclint against the deliberately broken fixture and
-// expects a non-zero exit with at least one finding from every analyzer.
+// expects exit code 1 with exactly one finding from every analyzer.
 func TestSmokeBadFixture(t *testing.T) {
-	bin := buildEclint(t)
-	cmd := exec.Command(bin, "./testdata/src/easycrash/internal/apps/badkernel")
-	out, err := cmd.CombinedOutput()
+	out, err := exec.Command(eclint, badFixture).CombinedOutput()
 	if err == nil {
 		t.Fatalf("eclint exited 0 on the bad fixture; output:\n%s", out)
 	}
 	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
 		t.Fatalf("eclint on the bad fixture: want exit code 1, got %v\n%s", err, out)
 	}
-	for _, name := range []string{"addrstride", "campaigndet", "directmem", "persistorder", "regionpairs"} {
-		if !strings.Contains(string(out), "("+name+")") {
-			t.Errorf("no %s finding in eclint output:\n%s", name, out)
+	for _, name := range analyzers {
+		if n := strings.Count(string(out), "("+name+")"); n != 1 {
+			t.Errorf("%d %s findings in eclint output, want 1:\n%s", n, name, out)
+		}
+	}
+	if want := fmt.Sprintf("eclint: %d finding(s)", len(analyzers)); !strings.Contains(string(out), want) {
+		t.Errorf("eclint output lacks %q:\n%s", want, out)
+	}
+}
+
+// TestCleanTree runs the suite over the whole module in process and expects
+// no unsuppressed finding. In process, the parser's file opens enter the
+// test's cache key, so an edit anywhere in the tree re-runs it; reading each
+// package directory does the same for an added file.
+func TestCleanTree(t *testing.T) {
+	pkgs, err := analysis.LoadPatterns(moduleRoot(t), "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range pkgs {
+		if _, err := os.ReadDir(pkg.Dir); err != nil {
+			t.Fatal(err)
+		}
+		findings, err := analysis.RunAnalyzers(pkg, suite.All())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range findings {
+			if !f.Suppressed {
+				t.Errorf("%s", f)
+			}
 		}
 	}
 }
 
-// TestCleanTree runs eclint over the whole module and expects a clean exit:
-// the checked-in tree must carry no unsuppressed findings.
-func TestCleanTree(t *testing.T) {
-	root, err := exec.Command("go", "list", "-m", "-f", "{{.Dir}}").Output()
-	if err != nil {
-		t.Fatalf("locating module root: %v", err)
-	}
-	bin := buildEclint(t)
-	cmd := exec.Command(bin, "./...")
-	cmd.Dir = strings.TrimSpace(string(root))
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("eclint ./... failed: %v\n%s", err, out)
-	}
-	if len(strings.TrimSpace(string(out))) != 0 {
-		t.Errorf("eclint ./... produced output on a clean tree:\n%s", out)
-	}
-}
-
-// TestListFlag checks the -list inventory names every analyzer.
+// TestListFlag checks the -list inventory names every analyzer and nothing
+// else.
 func TestListFlag(t *testing.T) {
-	bin := buildEclint(t)
-	out, err := exec.Command(bin, "-list").CombinedOutput()
+	out, err := exec.Command(eclint, "-list").CombinedOutput()
 	if err != nil {
 		t.Fatalf("eclint -list: %v\n%s", err, out)
 	}
-	for _, name := range []string{"addrstride", "campaigndet", "directmem", "persistorder", "regionpairs"} {
+	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	if len(lines) != len(analyzers) {
+		t.Errorf("eclint -list printed %d analyzers, want %d:\n%s", len(lines), len(analyzers), out)
+	}
+	for _, name := range analyzers {
 		if !strings.Contains(string(out), name) {
 			t.Errorf("eclint -list missing %s:\n%s", name, out)
 		}
@@ -80,9 +119,7 @@ func TestListFlag(t *testing.T) {
 // the real pmemkv package it exposes the suppressed deliberate-bug finding
 // with its allow reason — the hook CI's static↔dynamic cross-check hangs on.
 func TestJSONOutput(t *testing.T) {
-	bin := buildEclint(t)
-
-	out, err := exec.Command(bin, "-json", "./testdata/src/easycrash/internal/apps/badkernel").Output()
+	out, err := exec.Command(eclint, "-json", badFixture).Output()
 	if err == nil {
 		t.Fatalf("eclint -json exited 0 on the bad fixture")
 	}
@@ -97,18 +134,14 @@ func TestJSONOutput(t *testing.T) {
 			t.Errorf("bad fixture carries no allows, but finding is suppressed: %+v", f)
 		}
 	}
-	for _, name := range []string{"addrstride", "campaigndet", "directmem", "persistorder", "regionpairs"} {
+	for _, name := range analyzers {
 		if byAnalyzer[name] == 0 {
 			t.Errorf("no %s finding in -json output:\n%s", name, out)
 		}
 	}
 
-	root, err := exec.Command("go", "list", "-m", "-f", "{{.Dir}}").Output()
-	if err != nil {
-		t.Fatalf("locating module root: %v", err)
-	}
-	cmd := exec.Command(bin, "-json", "./internal/pmemkv/")
-	cmd.Dir = strings.TrimSpace(string(root))
+	cmd := exec.Command(eclint, "-json", "./internal/pmemkv/")
+	cmd.Dir = moduleRoot(t)
 	out, err = cmd.Output()
 	if err != nil {
 		t.Fatalf("eclint -json ./internal/pmemkv/ failed: %v\n%s", err, out)
@@ -131,10 +164,7 @@ func TestJSONOutput(t *testing.T) {
 // fixture's findings with -json and replaying them through -baseline turns
 // the failing run clean.
 func TestBaselineFlag(t *testing.T) {
-	bin := buildEclint(t)
-	fixture := "./testdata/src/easycrash/internal/apps/badkernel"
-
-	out, err := exec.Command(bin, "-json", fixture).Output()
+	out, err := exec.Command(eclint, "-json", badFixture).Output()
 	if err == nil {
 		t.Fatalf("eclint -json exited 0 on the bad fixture")
 	}
@@ -143,7 +173,7 @@ func TestBaselineFlag(t *testing.T) {
 		t.Fatalf("writing baseline: %v", err)
 	}
 
-	got, err := exec.Command(bin, "-baseline", baseline, fixture).CombinedOutput()
+	got, err := exec.Command(eclint, "-baseline", baseline, badFixture).CombinedOutput()
 	if err != nil {
 		t.Fatalf("eclint -baseline must tolerate baselined findings: %v\n%s", err, got)
 	}

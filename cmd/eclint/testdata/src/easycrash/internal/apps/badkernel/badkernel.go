@@ -12,15 +12,10 @@ import (
 	"easycrash/internal/sim"
 )
 
-// Step leaks region 0 on the early return (regionpairs), indexes without the
-// element stride (addrstride), and perturbs state with the global generator
-// (campaigndet).
-func Step(m *sim.Machine, o mem.Object, n int) float64 {
+// Step perturbs state with the global generator (campaigndet).
+func Step(m *sim.Machine, x sim.F64Slice) float64 {
 	m.BeginRegion(0)
-	v := m.LoadF64(o.Addr + uint64(rand.Intn(n)))
-	if v < 0 {
-		return v
-	}
+	v := x.At(rand.Intn(x.Len()))
 	m.EndRegion(0)
 	return v
 }

@@ -13,11 +13,12 @@
 //     inconsistency analysis, restart and outcome classification.
 //   - Run: the EasyCrash workflow — Spearman-based data-object selection
 //     and knapsack-based code-region selection under an overhead budget.
-//   - The §7 system-efficiency model and τ, the Figure-9 write-traffic
-//     comparison, and the §8 crash-test-free recomputability predictor.
+//   - The §7 system-efficiency model and τ.
 //
-// Every table and figure of the paper's evaluation is regenerated by the
-// figure runner in this package's tests (go test -bench . -benchtime 1x).
+// Every table and figure of the paper's evaluation — the Figure-9
+// write-traffic comparison and the §8 recomputability predictor included —
+// is regenerated by the figure runner in this package's tests
+// (go test -bench . -benchtime 1x).
 //
 // A minimal session:
 //
@@ -31,11 +32,9 @@ package easycrash
 import (
 	"easycrash/internal/apps"
 	"easycrash/internal/cachesim"
-	"easycrash/internal/ckpt"
 	"easycrash/internal/core"
 	"easycrash/internal/faultmodel"
 	"easycrash/internal/nvct"
-	"easycrash/internal/predict"
 	"easycrash/internal/sysmodel"
 )
 
@@ -172,30 +171,3 @@ func SystemEfficiency(p SystemParams) (base, ec, gain float64, err error) {
 // Tau computes the recomputability threshold τ above which EasyCrash beats
 // plain checkpoint/restart at the given operating point.
 func Tau(p SystemParams) (float64, error) { return sysmodel.Tau(p) }
-
-// WritesReport compares NVM write traffic between EasyCrash and C/R.
-type WritesReport = ckpt.WritesReport
-
-// CompareWrites profiles the Figure-9 write-traffic comparison.
-func CompareWrites(t *Tester, policy *Policy, critical []string) (WritesReport, error) {
-	return ckpt.CompareWrites(t, policy, critical)
-}
-
-// Features is a kernel's access-pattern characterisation (the §8
-// crash-test-free recomputability study).
-type Features = predict.Features
-
-// PredictModel is a fitted recomputability predictor.
-type PredictModel = predict.Model
-
-// Characterize extracts a kernel's access-pattern features from one
-// instrumented run, without crash tests.
-func Characterize(f Factory, cache CacheConfig, nvmBytes uint64) (Features, error) {
-	return predict.Characterize(f, cache, nvmBytes)
-}
-
-// FitPredictor fits the linear recomputability model on characterised
-// kernels with measured recomputability.
-func FitPredictor(features []Features, measured []float64) (PredictModel, error) {
-	return predict.Fit(features, measured)
-}

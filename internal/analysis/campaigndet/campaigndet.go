@@ -20,6 +20,11 @@
 // Intentional uses inside the scope (a -timeout deadline, a commutative
 // reduction over a map) carry an //eclint:allow campaigndet annotation with
 // a justification.
+//
+// The mutant that earns the analyzer its place: core's Step 2 ranging over
+// the inconsistency-vector map instead of its sorted keys, so the selected
+// objects come out in Go's randomized map order. eclint flags the range,
+// and every tier-1 test still passes.
 package campaigndet
 
 import (

@@ -13,6 +13,10 @@
 // Legitimate recovery/validation paths are annotated:
 //
 //	//eclint:allow directmem — reads the durable image for postmortem analysis
+//
+// The mutant that earns the analyzer its place: kmeans reading its
+// centroids with m.Image().Float64At instead of through the cache. eclint
+// flags the call, and every tier-1 test still passes.
 package directmem
 
 import (

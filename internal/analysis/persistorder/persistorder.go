@@ -40,19 +40,27 @@
 //  2. If the only thing between such a store and the commit/ack is an
 //     unfenced flush, the flush is reported, suggesting FlushRange.
 //  3. A flush whose range provably misses part of the stored extent
-//     (constant-offset interval arithmetic over the same base address, the
-//     addrstride discipline) is reported at the flush site.
+//     (constant-offset interval arithmetic over the same base address) is
+//     reported at the flush site.
 //
 // A package that implements apps.ConsistencyKernel — it promises
 // client-visible persistence semantics — but declares no persist directives
 // is reported once: the contract exists, the analyzer just cannot see it.
 //
-// The analysis is per-function and path-sensitive over the same structured
-// walker regionpairs uses (if/switch/select branches, loops walked once,
-// break/continue, explicit panic = crash, path ends). Address arithmetic is
-// resolved through single-assignment locals; flush ranges that cannot be
-// proven short are given the benefit of the doubt, so every report is a
-// path with *no* covering flush, not a failed proof.
+// The analysis is per-function and path-sensitive. Its walker (walkStmt,
+// walkLoop, walkBranches, merge) follows Go's structured control flow: both
+// arms of every if/switch/select, loop bodies walked once with break and
+// continue states merged at their targets, explicit panic treated as a
+// crash, and every return as a path end. Address arithmetic is resolved
+// through single-assignment locals; flush ranges that cannot be proven short
+// are given the benefit of the doubt, so every report is a path with *no*
+// covering flush, not a failed proof.
+//
+// The mutant that earns the analyzer its place is pmemkv-bug: the buggy
+// Store variant skips the WAL record's flush before the commit mark. eclint
+// flags that store (suppressed by its audited allow, which the CI cross-check
+// counts), and the dynamic oracle independently catches it as VIOL trials;
+// the two detectors are kept side by side so each checks the other.
 package persistorder
 
 import (
@@ -320,8 +328,8 @@ func (s *state) clone() *state {
 	return c
 }
 
-// breakable mirrors regionpairs: an enclosing break/continue target
-// collecting the path states that jump to it.
+// breakable is an enclosing break/continue target collecting the path
+// states that jump to it.
 type breakable struct {
 	isLoop    bool
 	breaks    []*state
@@ -781,9 +789,8 @@ func (w *walker) handleFlush(st *state, addrE, sizeE ast.Expr, fenced bool, pos 
 				if rec.lo >= c && rec.hi <= c+sizeConst {
 					covered = true
 				} else if rec.st == pDirty {
-					// Same base, provably short range: the addrstride-style
-					// interval proof says part of the stored extent stays
-					// volatile.
+					// Same base, provably short range: the interval proof
+					// says part of the stored extent stays volatile.
 					w.reportOnce(pos,
 						"flush covers [%+d,%+d) of %q but the pending store at line %d wrote [%+d,%+d); the uncovered bytes stay volatile across the fence",
 						c, c+sizeConst, root.Name(), w.line(rec.pos), rec.lo, rec.hi)

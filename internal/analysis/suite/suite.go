@@ -5,22 +5,16 @@ package suite
 
 import (
 	"easycrash/internal/analysis"
-	"easycrash/internal/analysis/addrstride"
-	"easycrash/internal/analysis/batchedaccess"
 	"easycrash/internal/analysis/campaigndet"
 	"easycrash/internal/analysis/directmem"
 	"easycrash/internal/analysis/persistorder"
-	"easycrash/internal/analysis/regionpairs"
 )
 
 // All returns every eclint analyzer, in output order.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		addrstride.Analyzer,
-		batchedaccess.Analyzer,
 		campaigndet.Analyzer,
 		directmem.Analyzer,
 		persistorder.Analyzer,
-		regionpairs.Analyzer,
 	}
 }

@@ -141,7 +141,6 @@ func (k *CG) matvec(m *sim.Machine, dst *sim.F64Stream, src sim.F64Slice) {
 		lo, hi := rptr.At(i), rptr1.At(i+1)
 		var sum float64
 		for e := lo; e < hi; e++ {
-			//eclint:allow batchedaccess — indirect gather through colidx is not stride-regular
 			sum += vals.At(int(e)) * src.At(int(colidx.At(int(e))))
 		}
 		dst.Set(i, sum)

@@ -132,7 +132,6 @@ func (k *EP) Run(m *sim.Machine, from, maxIter int64) (int64, error) {
 			acc++
 			h := math.Float64bits(gx) * 0x9E3779B97F4A7C15
 			bin := int((h >> 40) % histBins)
-			//eclint:allow batchedaccess — hash-addressed histogram increment
 			hist.Set(bin, hist.At(bin)+1)
 		}
 		m.EndRegion(1)

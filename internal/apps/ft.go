@@ -199,7 +199,6 @@ func (k *FT) Run(m *sim.Machine, from, maxIter int64) (int64, error) {
 		var cr, ci float64
 		for j := 0; j < 128; j++ {
 			q := (j * 541) % n
-			//eclint:allow batchedaccess — the checksum stride wraps mod n, not block-regular
 			cr, ci = cr+wSlice.At(2*q), ci+wSlice.At(2*q+1)
 		}
 		sums.Set(int(2*it), cr)

@@ -138,7 +138,6 @@ func (k *IS) Run(m *sim.Machine, from, maxIter int64) (int64, error) {
 				return executed, ErrInterrupted
 			}
 			b := v / bshift
-			//eclint:allow batchedaccess — data-dependent histogram increment
 			counts.Set(int(b), counts.At(int(b))+1)
 		}
 		m.EndRegion(1)
@@ -158,15 +157,12 @@ func (k *IS) Run(m *sim.Machine, from, maxIter int64) (int64, error) {
 		for i := 0; i < k.n; i++ {
 			v := keysS.At(i) - epoch
 			b := int(v / bshift)
-			//eclint:allow batchedaccess — data-dependent directory read
 			r := dir.At(b)
 			if r < 0 || r >= int64(k.n) {
 				m.MainLoopEnd()
 				return executed, ErrInterrupted
 			}
-			//eclint:allow batchedaccess — data-dependent directory bump
 			dir.Set(b, r+1)
-			//eclint:allow batchedaccess — rank scatter through the computed rank
 			perm.Set(int(r), int64(i))
 		}
 		m.EndRegion(3)
@@ -177,7 +173,6 @@ func (k *IS) Run(m *sim.Machine, from, maxIter int64) (int64, error) {
 		prev := int64(-1)
 		for s := 0; s < 64; s++ {
 			i := s * (k.n / 64)
-			//eclint:allow batchedaccess — sparse sample through the permutation
 			b := (keys.At(int(perm.At(i))) - epoch) / bshift
 			if b < prev {
 				m.MainLoopEnd()
@@ -191,7 +186,6 @@ func (k *IS) Run(m *sim.Machine, from, maxIter int64) (int64, error) {
 		m.BeginRegion(5)
 		for i := 0; i < k.n; i++ {
 			src := int(permS.At(i))
-			//eclint:allow batchedaccess — gather through the rank permutation
 			v := keys.At(src) - epoch
 			nv := (v*6364136223846793005 + int64(i)) & (isKMax - 1)
 			stageS.Set(i, nv)
@@ -210,7 +204,6 @@ func (k *IS) Run(m *sim.Machine, from, maxIter int64) (int64, error) {
 		m.BeginRegion(7)
 		var sum float64
 		for s := 0; s < 128; s++ {
-			//eclint:allow batchedaccess — the checksum stride wraps mod n, not block-regular
 			sum += float64(stage.At((s * 97) % k.n))
 		}
 		chk.Set(0, sum)

@@ -223,6 +223,13 @@ func TestWorkflowAllKernels(t *testing.T) {
 			if res.PredictedY < 0 || res.PredictedY > 1 {
 				t.Fatalf("predicted Y = %v", res.PredictedY)
 			}
+			// A marker-contract panic on a restart-only path is contained as
+			// an SErr trial; none may hide in either campaign.
+			for _, rep := range []*nvct.Report{res.Baseline, res.Final} {
+				if rep != nil && rep.Counts[nvct.SErr] != 0 {
+					t.Fatalf("%d ERR trials in a %s campaign", rep.Counts[nvct.SErr], name)
+				}
+			}
 			if res.Final != nil && res.Final.Recomputability() < res.BaselineY-0.15 {
 				t.Fatalf("EasyCrash made %s worse: %.2f -> %.2f",
 					name, res.BaselineY, res.Final.Recomputability())

@@ -288,6 +288,7 @@ func (t *Tester) undisturbed(what string, flushTicks bool, makePersister func(*s
 	m.SetPersister(makePersister(m, k))
 	m.Image().ResetWriteCounters()
 	executed, err := k.Run(m, 0, iterBudget(k.NominalIters()))
+	m.RunReturned(err)
 	if err != nil {
 		return Golden{}, fmt.Errorf("nvct: %s run of %s failed: %w", what, k.Name(), err)
 	}

@@ -272,7 +272,9 @@ type recoveryEnd struct {
 // armed, a *sim.Crash panic is the nested-failure model's re-crash and is
 // returned; unarmed — and on the tree, whose fork hook intercepts every armed
 // point — it is a campaign-engine bug and re-thrown. Abort panics (deadline,
-// cancellation) belong to the caller's containment and are always re-thrown.
+// cancellation) belong to the caller's containment and are always re-thrown;
+// so is a broken marker contract, a kernel bug that must surface as ERR
+// rather than pass for an interruption.
 func (t *Tester) runRecovery(k apps.Kernel, m *sim.Machine, from int64, armed bool) (end recoveryEnd) {
 	defer func() {
 		switch rec := recover().(type) {
@@ -282,13 +284,14 @@ func (t *Tester) runRecovery(k apps.Kernel, m *sim.Machine, from int64, armed bo
 				panic(rec)
 			}
 			end.crash = rec
-		case *sim.Abort:
+		case *sim.Abort, *sim.MarkerError:
 			panic(rec)
 		default:
 			end.failed = true
 		}
 	}()
 	executed, err := k.Run(m, from, iterBudget(t.golden.Iters))
+	m.RunReturned(err)
 	return recoveryEnd{executed: executed, failed: err != nil}
 }
 

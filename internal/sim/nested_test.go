@@ -11,6 +11,7 @@ import (
 // number of demand accesses it would issue uninterrupted.
 func nestedWorkload(m *Machine, o F64Slice, from int64) {
 	m.MainLoopBegin()
+	defer m.MainLoopEnd() // a crash unwinds through the abort idiom, as in the kernels
 	for it := from; it < 4; it++ {
 		m.BeginIteration(it)
 		m.BeginRegion(0)
@@ -20,7 +21,6 @@ func nestedWorkload(m *Machine, o F64Slice, from int64) {
 		m.EndRegion(0)
 		m.EndIteration(it)
 	}
-	m.MainLoopEnd()
 }
 
 // A re-armed crash must count demand accesses from the start of the recovery

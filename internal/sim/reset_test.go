@@ -15,6 +15,7 @@ func resetWorkload(m *Machine) {
 	o := m.Space().AllocF64("x", 256, true)
 	x := m.F64(o)
 	m.MainLoopBegin()
+	defer m.MainLoopEnd() // a crash unwinds through the abort idiom, as in the kernels
 	for it := int64(0); it < 3; it++ {
 		m.BeginIteration(it)
 		m.BeginRegion(0)

@@ -91,6 +91,7 @@ type Machine struct {
 	nextEvent uint64
 
 	regionIdx    int // active region + 1, the regionAccess index; 0 outside any marked region
+	leftOpen     int // regionIdx as the main loop's MainLoopEnd found it; see RunReturned
 	iter         int64
 	regionAccess [MaxRegions + 1]uint64 // per-region counts; index region+1 (0 = NoRegion)
 	iterations   int64                  // completed main-loop iterations
@@ -182,6 +183,7 @@ func (m *Machine) Reset() {
 	m.mainAccess = 0
 	m.crashAt = 0
 	m.regionIdx = 0
+	m.leftOpen = 0
 	m.iter = 0
 	m.regionAccess = [MaxRegions + 1]uint64{}
 	m.iterations = 0
@@ -346,18 +348,64 @@ func (m *Machine) RegionAccesses() map[int]uint64 {
 // Iterations returns the number of completed main-loop iterations.
 func (m *Machine) Iterations() int64 { return m.iterations }
 
-// MainLoopBegin marks the start of the main computation loop: subsequent
-// accesses are crash-eligible and attributed to regions.
-func (m *Machine) MainLoopBegin() { m.inMainLoop = true }
+// The markers enforce their pairing at run time, on every path a kernel
+// actually executes: the a_k weights of Equation 1 and every region-end
+// flush a policy promises are attributed through them, so a mismatched
+// marker panics with *MarkerError instead of skewing a report. MainLoopEnd
+// stays idempotent — it is the abort idiom, deferred by every kernel, and it
+// closes any open region — so a crash unwinding through it, or Reset, leaves
+// a machine that can run again. RunReturned closes the contract where the
+// markers cannot see: a Run that returns without error has closed every
+// region it opened.
 
-// MainLoopEnd marks the end of the main computation loop.
-func (m *Machine) MainLoopEnd() { m.inMainLoop = false; m.regionIdx = 0 }
+// MarkerError is the panic payload of a broken marker contract: a bug in the
+// kernel, not a crash outcome. The campaign engine lets it through recovery
+// classification, so it surfaces as an ERR trial.
+type MarkerError struct{ msg string }
+
+// Error implements error.
+func (e *MarkerError) Error() string { return e.msg }
+
+// MainLoopBegin marks the start of the main computation loop: subsequent
+// accesses are crash-eligible and attributed to regions. It panics inside
+// the main loop.
+func (m *Machine) MainLoopBegin() {
+	if m.inMainLoop {
+		m.misuse("MainLoopBegin", noArg)
+	}
+	m.inMainLoop = true
+	m.leftOpen = 0
+}
+
+// MainLoopEnd marks the end of the main computation loop, closing any open
+// region; repeated calls are no-ops.
+func (m *Machine) MainLoopEnd() {
+	if m.inMainLoop {
+		m.leftOpen = m.regionIdx
+	}
+	m.inMainLoop = false
+	m.regionIdx = 0
+}
+
+// RunReturned checks, once a kernel's Run has returned err, that a run
+// returning without error did not leave MainLoopEnd a region to close: only
+// a crash unwinding through the deferred MainLoopEnd, or an abort that
+// reports an error, may end the main loop mid-region.
+func (m *Machine) RunReturned(err error) {
+	if err == nil && m.leftOpen != 0 {
+		panic(&MarkerError{fmt.Sprintf("sim: marker contract: Run returned with region %d open in iteration %d", m.leftOpen-1, m.iter)})
+	}
+}
 
 // BeginIteration records the current main-loop iteration number (0-based).
 func (m *Machine) BeginIteration(it int64) { m.iter = it }
 
 // EndIteration invokes the persistence policy for the iteration boundary.
+// It panics unless it is the current iteration.
 func (m *Machine) EndIteration(it int64) {
+	if it != m.iter {
+		m.misuse("EndIteration", it)
+	}
 	m.iterations++
 	if m.persister != nil {
 		m.persister.IterationEnd(m, it)
@@ -365,21 +413,51 @@ func (m *Machine) EndIteration(it int64) {
 }
 
 // BeginRegion marks entry into first-level code region k (0-based,
-// k < MaxRegions).
+// k < MaxRegions). It panics while a region is open.
 func (m *Machine) BeginRegion(k int) {
 	if k < 0 || k >= MaxRegions {
 		panic(fmt.Sprintf("sim: region %d out of range [0,%d)", k, MaxRegions))
+	}
+	if m.regionIdx != 0 {
+		m.misuse("BeginRegion", int64(k))
 	}
 	m.regionIdx = k + 1
 }
 
 // EndRegion marks exit from code region k and invokes the persistence
-// policy for the region boundary.
+// policy for the region boundary. It panics unless region k is open.
 func (m *Machine) EndRegion(k int) {
+	if m.regionIdx != k+1 {
+		m.misuse("EndRegion", int64(k))
+	}
 	if m.persister != nil {
 		m.persister.RegionEnd(m, k, m.iter)
 	}
 	m.regionIdx = 0
+}
+
+// noArg is misuse's argument for a marker that takes none.
+const noArg = -1
+
+// misuse panics because marker(arg) found the machine in a state the
+// contract forbids; the message names the open region and the current
+// iteration. It stays out of line so the markers carry no formatting.
+//
+//go:noinline
+func (m *Machine) misuse(marker string, arg int64) {
+	call := marker + "()"
+	if arg != noArg {
+		call = fmt.Sprintf("%s(%d)", marker, arg)
+	}
+	open := "no region open"
+	if m.regionIdx != 0 {
+		open = fmt.Sprintf("region %d open", m.Region())
+	}
+	where := "outside"
+	if m.inMainLoop {
+		where = "inside"
+	}
+	panic(&MarkerError{fmt.Sprintf("sim: marker contract: %s with %s in iteration %d, %s the main loop", call, open, m.iter, where)})
 }
 
 // Region returns the currently active region, or NoRegion.
