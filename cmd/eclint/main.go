@@ -1,11 +1,10 @@
 // Command eclint runs the EasyCrash static-analysis suite over Go package
-// patterns and reports violations of the simulation invariants: raw mem.Image
-// access that bypasses the cache hierarchy (directmem), nondeterminism in
-// campaign code (campaigndet), and durable writes reaching a commit mark or
-// acknowledgement without a fenced flush (persistorder). Each analyzer's
-// package doc names the planted bug that earns it its place (DESIGN.md keeps
-// the mutant table); region and iteration marker pairing is not a lint but a
-// run-time contract of sim.Machine.
+// patterns and reports nondeterminism in campaign code (campaigndet) and
+// durable writes reaching a commit mark or acknowledgement without a fenced
+// flush (persistorder). Each analyzer's package doc names the planted bug
+// that earns it its place (DESIGN.md keeps the mutant table). sim.Machine
+// enforces what is not a lint: marker pairing is a run-time contract, and no
+// kernel can reach the NVM image (see Machine.DurableCopy).
 //
 // Usage:
 //

@@ -39,7 +39,7 @@ func TestMain(m *testing.M) {
 const badFixture = "./testdata/src/easycrash/internal/apps/badkernel"
 
 // analyzers are the names suite.All registers.
-var analyzers = []string{"campaigndet", "directmem", "persistorder"}
+var analyzers = []string{"campaigndet", "persistorder"}
 
 // moduleRoot returns the module's root directory.
 func moduleRoot(t *testing.T) string {

@@ -20,12 +20,6 @@ func Step(m *sim.Machine, x sim.F64Slice) float64 {
 	return v
 }
 
-// Peek reads the durable image directly, bypassing the cache hierarchy
-// (directmem).
-func Peek(im *mem.Image, o mem.Object) float64 {
-	return im.Float64At(o.Addr)
-}
-
 // kv violates the persistence-ordering contract: the commit mark covers a
 // WAL record that was never flushed (persistorder).
 type kv struct {

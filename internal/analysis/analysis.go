@@ -11,8 +11,8 @@
 // statement the offending expression belongs to (so a multi-line call can be
 // annotated where it starts):
 //
-//	//eclint:allow directmem — recovery path reads durable state on purpose
-//	//eclint:allow directmem,campaigndet
+//	//eclint:allow campaigndet — key collection, sorted below
+//	//eclint:allow campaigndet,persistorder
 //
 // The annotation names one or more analyzers (comma-separated); everything
 // after the names is a free-form justification. Analyzers that set
@@ -323,17 +323,6 @@ func RecvNamed(fn *types.Func) (pkgPath, typeName string, ok bool) {
 		return "", "", false
 	}
 	return named.Obj().Pkg().Path(), named.Obj().Name(), true
-}
-
-// IsMethod reports whether call invokes the named method on the named type
-// (by package path), through a value or pointer receiver.
-func IsMethod(info *types.Info, call *ast.CallExpr, pkgPath, typeName, method string) bool {
-	fn := CalleeFunc(info, call)
-	if fn == nil || fn.Name() != method {
-		return false
-	}
-	p, t, ok := RecvNamed(fn)
-	return ok && p == pkgPath && t == typeName
 }
 
 // EffectivePath strips a leading `testdata/src/` segment (with or without a

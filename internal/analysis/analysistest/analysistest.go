@@ -2,7 +2,7 @@
 // and checks their findings against `// want` comments, following the
 // conventions of golang.org/x/tools/go/analysis/analysistest:
 //
-//	im.RawWrite(0, b) // want `bypasses the simulated cache hierarchy`
+//	return rand.Float64() // want `global math/rand\.Float64 draws from process-wide state`
 //
 // A want comment carries one or more Go string literals, each a regular
 // expression that must match the message of a distinct finding reported on

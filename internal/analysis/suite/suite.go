@@ -6,7 +6,6 @@ package suite
 import (
 	"easycrash/internal/analysis"
 	"easycrash/internal/analysis/campaigndet"
-	"easycrash/internal/analysis/directmem"
 	"easycrash/internal/analysis/persistorder"
 )
 
@@ -14,7 +13,6 @@ import (
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		campaigndet.Analyzer,
-		directmem.Analyzer,
 		persistorder.Analyzer,
 	}
 }

@@ -497,6 +497,10 @@ func (h *Hierarchy) Stats() Stats {
 	return s
 }
 
+// Clock returns the recency clock. Every access advances it, so two equal
+// readings with no Reset or ResumeFrom between them bracket no access.
+func (h *Hierarchy) Clock() uint64 { return h.tick }
+
 // ResetStats zeroes the statistics without touching cache state.
 func (h *Hierarchy) ResetStats() {
 	hits, misses := h.stats.Hits, h.stats.Misses

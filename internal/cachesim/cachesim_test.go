@@ -526,7 +526,7 @@ func TestRandomReplacementIsDeterministicAndCorrect(t *testing.T) {
 			t.Fatal(err)
 		}
 		h.WriteBackAll()
-		return h.Stats(), im.Snapshot()
+		return h.Stats(), bytes.Clone(im.Bytes(0, im.Size()))
 	}
 	s1, m1 := run()
 	s2, m2 := run()

@@ -76,7 +76,7 @@ func TestHierarchyResetMatchesFresh(t *testing.T) {
 		}
 		h.WriteBackAll()
 		audit(t, h, "after the drain")
-		return h.Stats(), im.Snapshot()
+		return h.Stats(), bytes.Clone(im.Bytes(0, im.Size()))
 	}
 	h1, im1 := newPair(t, cfg, 1<<16)
 	wantStats, wantImage := run(h1, im1)
@@ -86,7 +86,7 @@ func TestHierarchyResetMatchesFresh(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		h2.Store(0, uint64(i)*BlockSize, []byte{0xFF})
 	}
-	im2.Reset()
+	im2.ResetPrefix(im2.Size())
 	h2.Reset()
 	audit(t, h2, "after Reset")
 	if res, dirty := h2.ResidentBlocks(); res != 0 || dirty != 0 {

@@ -62,7 +62,7 @@ func TestSnapshotResumeIdenticalFuture(t *testing.T) {
 	driveOps(fork, 12345, 500, func() { audit(t, fork, "fork's first life") }) // dirty it first, then recycle
 	fork.Reset()
 	audit(t, fork, "after Reset")
-	imB.Reset()
+	imB.ResetPrefix(imB.Size())
 	imB.RestoreSnapshot(imgSnap)
 	fork.ResumeFrom(snap)
 	audit(t, fork, "after ResumeFrom")

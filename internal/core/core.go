@@ -32,9 +32,7 @@ import (
 	"easycrash/internal/apps"
 	"easycrash/internal/cachesim"
 	"easycrash/internal/faultmodel"
-	"easycrash/internal/knapsack"
 	"easycrash/internal/nvct"
-	"easycrash/internal/stats"
 )
 
 // pThreshold is the Step-2 Spearman p-value cutoff (the paper's 0.01).
@@ -325,9 +323,9 @@ func SelectObjects(baseline *nvct.Report, pThreshold float64) ([]ObjectAnalysis,
 	for _, name := range names {
 		v := vectors[name]
 		a := ObjectAnalysis{Name: name}
-		c, err := stats.Spearman(v[0], v[1])
+		c, err := Spearman(v[0], v[1])
 		switch {
-		case err == stats.ErrConstantInput:
+		case err == errConstantInput:
 			a.Reason = "constant input (no variation to correlate)"
 		case err != nil:
 			a.Reason = fmt.Sprintf("correlation failed: %v", err)
@@ -404,18 +402,18 @@ func SelectRegions(golden nvct.Golden, baseline, everywhere *nvct.Report, critic
 	bestY, bestFreq := baseY, int64(1)
 	var bestChosen []int
 	for _, x := range frequencies {
-		items := make([]knapsack.Item, len(regions))
+		items := make([]knapsackItem, len(regions))
 		for k, r := range regions {
 			gain := r.CMax - r.C
 			if gain < 0 {
 				gain = 0
 			}
-			items[k] = knapsack.Item{
+			items[k] = knapsackItem{
 				Weight: r.Loss / float64(x),
 				Value:  r.A * gain / float64(x), // Equation 5 applied to Equation 2
 			}
 		}
-		chosen, gain := knapsack.Solve(items, cfg.Ts)
+		chosen, gain := solveKnapsack(items, cfg.Ts)
 		if y := baseY + gain; y > bestY || (bestChosen == nil && len(chosen) > 0 && y == bestY) {
 			bestY, bestFreq, bestChosen = y, x, chosen
 		}

@@ -8,7 +8,6 @@ import (
 	"easycrash/internal/apps"
 	"easycrash/internal/core"
 	"easycrash/internal/faultmodel"
-	"easycrash/internal/knapsack"
 	"easycrash/internal/mem"
 	"easycrash/internal/nvct"
 )
@@ -185,20 +184,6 @@ func TestSelectRegionsEquationFive(t *testing.T) {
 	// Equation 5: gain scales by 1/x, so predicted Y = (1-0)/8.
 	if predicted < 0.12 || predicted > 0.13 {
 		t.Fatalf("predicted Y = %v, want 1/8", predicted)
-	}
-}
-
-func TestKnapsackIntegration(t *testing.T) {
-	// Regions with distinct gains and equal costs: the knapsack must take
-	// the highest-gain regions first.
-	items := []knapsack.Item{
-		{Weight: 0.01, Value: 0.5},
-		{Weight: 0.01, Value: 0.1},
-		{Weight: 0.01, Value: 0.3},
-	}
-	chosen, total := knapsack.Solve(items, 0.02)
-	if len(chosen) != 2 || total != 0.8 {
-		t.Fatalf("chosen %v total %v", chosen, total)
 	}
 }
 

@@ -247,7 +247,6 @@ func (in *Injector) ApplyCrash(img *mem.Image, extent uint64) Injection {
 			}
 			copy(cur[lo:lo+WordSize], old)
 		}
-		//eclint:allow directmem — fault injection writes beneath the cache model by design
 		img.RawWrite(in.tearBase, cur[:])
 		in.tearArmed = false
 	}
@@ -285,7 +284,6 @@ func (in *Injector) ApplyCrash(img *mem.Image, extent uint64) Injection {
 				for _, b := range flips[base] {
 					blk[b/8] ^= 1 << (b % 8)
 				}
-				//eclint:allow directmem — silent bit flips corrupt the medium itself, not cached state
 				img.RawWrite(base, blk[:])
 				rep.SilentBlocks++
 				rep.FlippedBits += n

@@ -59,7 +59,7 @@ func fillImage(img *mem.Image) {
 func TestZeroConfigInert(t *testing.T) {
 	img := mem.NewImage(4 * mem.BlockSize)
 	fillImage(img)
-	before := img.Snapshot()
+	before := bytes.Clone(img.Bytes(0, img.Size()))
 
 	in := New(Config{}, 42)
 	// Observe a write as the machine would, then crash.
@@ -71,7 +71,7 @@ func TestZeroConfigInert(t *testing.T) {
 	if rep.Any() || rep != (Injection{}) {
 		t.Fatalf("zero config injected %+v", rep)
 	}
-	after := img.Snapshot()
+	after := bytes.Clone(img.Bytes(0, img.Size()))
 	// Only the observed WriteBlock itself changed the image.
 	copy(before[:mem.BlockSize], blk)
 	if !bytes.Equal(before, after) {
@@ -153,7 +153,7 @@ func TestECCOutcomes(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			img := mem.NewImage(mem.BlockSize)
 			fillImage(img)
-			before := img.Snapshot()
+			before := bytes.Clone(img.Bytes(0, img.Size()))
 			in := New(Config{RBER: 0.25, ECC: tc.ecc}, 11)
 			rep := in.ApplyCrash(img, img.Size())
 			switch tc.name {
@@ -161,14 +161,14 @@ func TestECCOutcomes(t *testing.T) {
 				if rep.SilentBlocks != 1 || rep.FlippedBits == 0 {
 					t.Fatalf("ECC off: %+v", rep)
 				}
-				if bytes.Equal(before, img.Snapshot()) {
+				if bytes.Equal(before, img.Bytes(0, img.Size())) {
 					t.Fatal("silent corruption left the image unchanged")
 				}
 			case "huge-correct":
 				if rep.CorrectedBlocks != 1 || rep.SilentBlocks != 0 || rep.PoisonedBlocks != 0 {
 					t.Fatalf("corrected: %+v", rep)
 				}
-				if !bytes.Equal(before, img.Snapshot()) {
+				if !bytes.Equal(before, img.Bytes(0, img.Size())) {
 					t.Fatal("corrected errors mutated the image")
 				}
 			case "detect-poison":
@@ -178,7 +178,7 @@ func TestECCOutcomes(t *testing.T) {
 				if !img.Poisoned(0) {
 					t.Fatal("block not poisoned")
 				}
-				if !bytes.Equal(before, img.Snapshot()) {
+				if !bytes.Equal(before, img.Bytes(0, img.Size())) {
 					t.Fatal("poisoned block's data should be left as-is (it is unreadable, not rewritten)")
 				}
 			}
@@ -196,7 +196,7 @@ func TestDeterministicForSeed(t *testing.T) {
 		img.WriteBlock(3*mem.BlockSize, blk)
 		in.ArmTear()
 		rep := in.ApplyCrash(img, img.Size())
-		return img.Snapshot(), rep
+		return bytes.Clone(img.Bytes(0, img.Size())), rep
 	}
 	img1, rep1 := run(77)
 	img2, rep2 := run(77)

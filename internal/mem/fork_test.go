@@ -29,10 +29,9 @@ func TestForkIsImmutableCopy(t *testing.T) {
 	// Mutate the live image through every tracked path; the fork must not see it.
 	fillBlock(im, 0, 0x33)
 	im.RawWrite(SnapPageSize, []byte{9, 9, 9, 9})
-	im.SetFloat64At(SnapPageSize+512, 3.14)
 
 	got := make([]byte, extent)
-	snap.CopyTo(got)
+	snap.copyTo(got)
 	if !bytes.Equal(got, want) {
 		t.Fatal("fork contents changed when the live image was mutated")
 	}
@@ -76,8 +75,6 @@ func TestForkTracksAllMutationPaths(t *testing.T) {
 	}{
 		{"WriteBlock", 0, func() { fillBlock(im, 0, 0x01) }},
 		{"RawWrite", 1, func() { im.RawWrite(1*SnapPageSize, []byte{1, 2, 3}) }},
-		{"SetFloat64At", 2, func() { im.SetFloat64At(2*SnapPageSize, 1.5) }},
-		{"SetInt64At", 3, func() { im.SetInt64At(3*SnapPageSize, -7) }},
 	}
 	for _, m := range mutate {
 		m.do()
@@ -88,13 +85,12 @@ func TestForkTracksAllMutationPaths(t *testing.T) {
 		base = s
 	}
 
-	// Restore dirties everything it rewrites.
-	full := im.Snapshot()
-	im.Restore(full)
+	// RestoreSnapshot dirties everything it rewrites.
+	im.RestoreSnapshot(base)
 	s := im.Fork(im.Size())
 	for i := range s.pages {
 		if &s.pages[i][0] == &base.pages[i][0] {
-			t.Fatalf("page %d still shared after Restore", i)
+			t.Fatalf("page %d still shared after RestoreSnapshot", i)
 		}
 	}
 }
@@ -106,25 +102,24 @@ func TestRestoreSnapshotRoundTrip(t *testing.T) {
 	extent := uint64(2 * SnapPageSize)
 	snap := im.Fork(extent)
 	want := make([]byte, extent)
-	snap.CopyTo(want)
-	wantBW, wantBy := im.BlockWrites(), im.BytesWritten()
+	snap.copyTo(want)
+	wantBW := im.BlockWrites()
 
 	// A different, freshly reset image resumes from the snapshot.
 	dst := NewImage(4 * SnapPageSize)
 	fillBlock(dst, SnapPageSize, 0xee)
-	dst.Reset()
+	dst.ResetPrefix(dst.Size())
 	dst.RestoreSnapshot(snap)
 	if !bytes.Equal(dst.Bytes(0, extent), want) {
 		t.Fatal("restored prefix differs from the forked contents")
 	}
 	for _, b := range dst.Bytes(extent, dst.Size()-extent) {
 		if b != 0 {
-			t.Fatal("bytes past the snapshot extent are not zero after Reset+RestoreSnapshot")
+			t.Fatal("bytes past the snapshot extent are not zero after ResetPrefix+RestoreSnapshot")
 		}
 	}
-	if dst.BlockWrites() != wantBW || dst.BytesWritten() != wantBy {
-		t.Fatalf("write counters (%d, %d) not restored to (%d, %d)",
-			dst.BlockWrites(), dst.BytesWritten(), wantBW, wantBy)
+	if dst.BlockWrites() != wantBW {
+		t.Fatalf("write counter %d not restored to %d", dst.BlockWrites(), wantBW)
 	}
 
 	// RestoreSnapshot counts as a mutation for the target's own fork tracking.
@@ -139,11 +134,11 @@ func TestResetClearsForkTracking(t *testing.T) {
 	im := NewImage(2 * SnapPageSize)
 	fillBlock(im, 0, 0x5c)
 	s1 := im.Fork(im.Size())
-	im.Reset()
+	im.ResetPrefix(im.Size())
 	if im.snapDirty != nil || im.lastFork != nil {
 		t.Fatal("Reset left fork tracking attached")
 	}
-	// A fork after Reset restarts tracking and shares nothing with the old one.
+	// A fork after ResetPrefix restarts tracking and shares nothing with the old one.
 	s2 := im.Fork(im.Size())
 	for i := range s2.pages {
 		if &s2.pages[i][0] == &s1.pages[i][0] {
@@ -151,7 +146,7 @@ func TestResetClearsForkTracking(t *testing.T) {
 		}
 	}
 	got := make([]byte, im.Size())
-	s2.CopyTo(got)
+	s2.copyTo(got)
 	for _, b := range got {
 		if b != 0 {
 			t.Fatal("post-Reset fork captured stale bytes")
@@ -169,7 +164,7 @@ func TestForkExtentClampAndPartialPage(t *testing.T) {
 		t.Fatalf("extent = %d, want clamped %d", snap.Extent(), sz)
 	}
 	got := make([]byte, sz)
-	snap.CopyTo(got)
+	snap.copyTo(got)
 	if !bytes.Equal(got[sz-4:], []byte{1, 2, 3, 4}) {
 		t.Fatal("tail of the short final page not captured")
 	}

@@ -6,13 +6,13 @@
 // is the durable truth. Volatile state (the caches in package cachesim) sits
 // in front of it; only cache write-backs and explicit flushes reach the image.
 // Write traffic into the image is counted at cache-block granularity, which is
-// what the paper's NVM-endurance experiments (Figure 9) measure.
+// what the paper's NVM-endurance experiments (Figure 9) measure. Kernels
+// never hold an Image: sim.Machine owns it, so every kernel access goes
+// through the cache model.
 package mem
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -31,11 +31,10 @@ const snapPageShift = 12
 // Image is a byte-accurate simulated NVM image. The zero value is not usable;
 // create one with NewImage.
 type Image struct {
-	data         []byte
-	blockWrites  uint64
-	bytesWritten uint64
-	writeHook    WriteHook
-	poisoned     map[uint64]struct{} // block base addrs that read as uncorrectable
+	data        []byte
+	blockWrites uint64
+	writeHook   WriteHook
+	poisoned    map[uint64]struct{} // block base addrs that read as uncorrectable
 
 	// Copy-on-write fork tracking (nil until the first Fork): snapDirty[i]
 	// marks page i as mutated since the previous Fork, lastFork[i] is the
@@ -102,7 +101,6 @@ func (im *Image) WriteBlock(addr uint64, src []byte) {
 	}
 	copy(im.data[base:base+BlockSize], src[:BlockSize])
 	im.blockWrites++
-	im.bytesWritten += BlockSize
 	if im.snapDirty != nil {
 		im.snapDirty[base>>snapPageShift] = true
 	}
@@ -162,93 +160,16 @@ func (im *Image) PoisonedBlocks() []uint64 {
 // BlockWrites returns the number of cache-block writes the image has absorbed.
 func (im *Image) BlockWrites() uint64 { return im.blockWrites }
 
-// BytesWritten returns the number of bytes written into the image.
-func (im *Image) BytesWritten() uint64 { return im.bytesWritten }
-
-// ResetWriteCounters zeroes the write counters without touching contents.
-func (im *Image) ResetWriteCounters() { im.blockWrites, im.bytesWritten = 0, 0 }
-
 // Bytes returns the raw image contents for the half-open range [addr, addr+n).
 // The returned slice aliases the image; callers must not hold it across
-// mutations they do not intend to observe.
-//
-// Bytes bypasses the cache hierarchy — simulation-accuracy hazard: it sees
-// only durable state, never dirty cached lines, and is invisible to crash
-// delivery and write accounting. Kernels must route accesses through
-// sim.Machine; only out-of-band recovery, validation and test code may read
-// raw, under an //eclint:allow directmem annotation.
+// mutations they do not intend to observe. It sees durable state only.
 func (im *Image) Bytes(addr, n uint64) []byte { return im.data[addr : addr+n] }
 
-// RawWrite copies bytes into the image without counting NVM writes. It models
-// out-of-band restoration (e.g. reloading a checkpoint from SSD) and test
-// setup, not in-band store traffic.
-//
-// RawWrite bypasses the cache hierarchy — simulation-accuracy hazard: the
-// bytes land in durable state without dirtying or invalidating cached lines,
-// so a kernel using it desynchronises cache and media. eclint (directmem)
-// rejects unannotated calls.
+// RawWrite copies bytes into the image without counting NVM writes: the
+// out-of-band path of media-fault injection and test setup.
 func (im *Image) RawWrite(addr uint64, src []byte) {
 	copy(im.data[addr:], src)
 	im.markSnapRange(addr, uint64(len(src)))
-}
-
-// Float64At reads a float64 stored at addr directly from the image.
-//
-// Float64At bypasses the cache hierarchy — simulation-accuracy hazard: it
-// reflects only durable state and ignores newer values still cached. In-band
-// code must use Machine.LoadF64; eclint (directmem) rejects unannotated
-// calls.
-func (im *Image) Float64At(addr uint64) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(im.data[addr : addr+8]))
-}
-
-// SetFloat64At writes a float64 directly into the image without counting an
-// NVM write (out-of-band restoration path).
-//
-// SetFloat64At bypasses the cache hierarchy — simulation-accuracy hazard:
-// stale cached lines keep shadowing the written value. In-band code must use
-// Machine.StoreF64; eclint (directmem) rejects unannotated calls.
-func (im *Image) SetFloat64At(addr uint64, v float64) {
-	binary.LittleEndian.PutUint64(im.data[addr:addr+8], math.Float64bits(v))
-	im.markSnapRange(addr, 8)
-}
-
-// Int64At reads an int64 stored at addr directly from the image.
-//
-// Int64At bypasses the cache hierarchy — simulation-accuracy hazard: see
-// Float64At; the in-band path is Machine.LoadI64.
-func (im *Image) Int64At(addr uint64) int64 {
-	return int64(binary.LittleEndian.Uint64(im.data[addr : addr+8]))
-}
-
-// SetInt64At writes an int64 directly into the image without counting a write.
-//
-// SetInt64At bypasses the cache hierarchy — simulation-accuracy hazard: see
-// SetFloat64At; the in-band path is Machine.StoreI64.
-func (im *Image) SetInt64At(addr uint64, v int64) {
-	binary.LittleEndian.PutUint64(im.data[addr:addr+8], uint64(v))
-	im.markSnapRange(addr, 8)
-}
-
-// Snapshot returns a deep copy of the image contents. Crash tests snapshot
-// the post-crash durable state for postmortem analysis and restart.
-func (im *Image) Snapshot() []byte {
-	s := make([]byte, len(im.data))
-	copy(s, im.data)
-	return s
-}
-
-// Restore overwrites the image contents from a snapshot previously produced
-// by Snapshot and heals all poisoned blocks: a restore models reprovisioning
-// the medium from a known-good copy, after which no block is
-// detected-uncorrectable. Write counters are unaffected.
-func (im *Image) Restore(snap []byte) {
-	if len(snap) != len(im.data) {
-		panic(fmt.Sprintf("mem: restore snapshot size %d != image size %d", len(snap), len(im.data)))
-	}
-	copy(im.data, snap)
-	im.markSnapRange(0, im.Size())
-	im.poisoned = nil
 }
 
 // ImageSnapshot is an immutable copy-on-write snapshot of an image prefix,
@@ -256,17 +177,16 @@ func (im *Image) Restore(snap []byte) {
 // neighbouring forks of the same image where the content did not change in
 // between, so concurrent readers never observe the live image mutating.
 type ImageSnapshot struct {
-	extent       uint64
-	pages        [][]byte
-	blockWrites  uint64
-	bytesWritten uint64
+	extent      uint64
+	pages       [][]byte
+	blockWrites uint64
 }
 
 // Extent returns the number of image-prefix bytes the snapshot captured.
 func (s *ImageSnapshot) Extent() uint64 { return s.extent }
 
-// CopyTo copies the snapshot contents into dst (len >= Extent).
-func (s *ImageSnapshot) CopyTo(dst []byte) {
+// copyTo copies the snapshot contents into dst (len >= Extent).
+func (s *ImageSnapshot) copyTo(dst []byte) {
 	off := uint64(0)
 	for _, p := range s.pages {
 		n := s.extent - off
@@ -282,7 +202,7 @@ func (s *ImageSnapshot) CopyTo(dst []byte) {
 // ImageSnapshot. The first Fork copies every covered page and enables
 // page-granular dirty tracking; subsequent Forks copy only the pages written
 // since the previous Fork (through any mutation path — block writes, raw
-// writes, Restore) and share the untouched pages with it. This is what lets a
+// writes, RestoreSnapshot) and share the untouched pages with it. This is what lets a
 // campaign's reference machine hand a durable-image copy to every trial at
 // page-delta cost instead of a full 64 MiB copy each.
 //
@@ -318,43 +238,33 @@ func (im *Image) Fork(extent uint64) *ImageSnapshot {
 		im.lastFork[i] = p
 		im.snapDirty[i] = false
 	}
-	return &ImageSnapshot{
-		extent:       extent,
-		pages:        pages,
-		blockWrites:  im.blockWrites,
-		bytesWritten: im.bytesWritten,
-	}
+	return &ImageSnapshot{extent: extent, pages: pages, blockWrites: im.blockWrites}
 }
 
 // RestoreSnapshot loads a forked snapshot into the image: the captured prefix
-// is overwritten and the write counters are set to the forked machine's
-// values. The caller is responsible for the bytes past the snapshot extent
-// (a freshly Reset image holds zeros there, matching the forked image, whose
+// is overwritten and the write counter is set to the forked machine's
+// value. The caller is responsible for the bytes past the snapshot extent
+// (a freshly reset image holds zeros there, matching the forked image, whose
 // in-band traffic never leaves its allocated prefix).
 func (im *Image) RestoreSnapshot(s *ImageSnapshot) {
-	s.CopyTo(im.data)
-	im.blockWrites, im.bytesWritten = s.blockWrites, s.bytesWritten
+	s.copyTo(im.data)
+	im.blockWrites = s.blockWrites
 	im.markSnapRange(0, s.extent)
 	im.poisoned = nil
 }
 
-// Reset returns the image to its as-constructed state: all-zero contents,
-// zero write counters, no poison, and no write hook attached.
-// Campaign workers use it to recycle one image across crash tests instead of
-// allocating a fresh one per test.
-func (im *Image) Reset() { im.ResetPrefix(im.Size()) }
-
-// ResetPrefix is Reset but only zeroes the first n bytes of contents (rounded
-// up to a whole block). Counters, poison and hook are fully reset
-// regardless of n. Callers that know the high-water mark of past writes (for
-// a Space, its Extent) avoid re-zeroing untouched capacity.
+// ResetPrefix returns the image to its as-constructed state — zero write
+// counter, no poison, no write hook — but zeroes only the first n bytes of
+// contents (rounded up to a whole block). Campaign workers recycle one image
+// across crash tests this way; knowing the high-water mark of past writes
+// (for a Space, its Extent) they avoid re-zeroing untouched capacity.
 func (im *Image) ResetPrefix(n uint64) {
 	n = (n + BlockSize - 1) &^ (BlockSize - 1)
 	if n > uint64(len(im.data)) {
 		n = uint64(len(im.data))
 	}
 	clear(im.data[:n])
-	im.blockWrites, im.bytesWritten = 0, 0
+	im.blockWrites = 0
 	im.poisoned = nil
 	im.writeHook = nil
 	im.snapDirty = nil
@@ -385,19 +295,17 @@ type Space struct {
 	objs   []Object
 }
 
-// NewSpace creates an object space over a fresh image of the given capacity.
-func NewSpace(capacity uint64) *Space {
-	return &Space{img: NewImage(capacity), byName: make(map[string]int)}
+// NewSpace creates an object space that allocates over img. The space hands
+// out addresses only; reads and writes go through whoever owns the image.
+func NewSpace(img *Image) *Space {
+	return &Space{img: img, byName: make(map[string]int)}
 }
-
-// Image returns the underlying NVM image.
-func (s *Space) Image() *Image { return s.img }
 
 // Reset forgets every registered object and returns the image to its
 // as-constructed state, zeroing only the allocated prefix (in-band traffic
 // and fault injection are both bounded by Extent, so bytes past the brk were
 // never written). After Reset the space is indistinguishable from a fresh
-// NewSpace of the same capacity.
+// NewSpace over a fresh image of the same size.
 func (s *Space) Reset() {
 	s.img.ResetPrefix(s.brk)
 	s.brk = 0
@@ -461,13 +369,6 @@ func (s *Space) MustObject(name string) Object {
 	return o
 }
 
-// Objects returns all registered objects in allocation order.
-func (s *Space) Objects() []Object {
-	out := make([]Object, len(s.objs))
-	copy(out, s.objs)
-	return out
-}
-
 // Candidates returns the candidate critical data objects in allocation order.
 func (s *Space) Candidates() []Object {
 	var out []Object
@@ -497,15 +398,4 @@ func (s *Space) CandidateFootprint() uint64 {
 		}
 	}
 	return t
-}
-
-// ObjectAt returns the object containing addr, if any. Used for attributing
-// dirty bytes and NVM writes to objects in postmortem analysis.
-func (s *Space) ObjectAt(addr uint64) (Object, bool) {
-	// Objects are allocated in address order, so binary search works.
-	i := sort.Search(len(s.objs), func(i int) bool { return s.objs[i].End() > addr })
-	if i < len(s.objs) && s.objs[i].Addr <= addr {
-		return s.objs[i], true
-	}
-	return Object{}, false
 }

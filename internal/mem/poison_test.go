@@ -109,7 +109,7 @@ func TestWriteHookSeesOldAndNew(t *testing.T) {
 }
 
 func TestSpaceExtent(t *testing.T) {
-	s := NewSpace(1 << 16)
+	s := NewSpace(NewImage(1 << 16))
 	if s.Extent() != 0 {
 		t.Fatalf("fresh space extent %d", s.Extent())
 	}

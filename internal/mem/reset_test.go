@@ -10,14 +10,13 @@ func TestImageReset(t *testing.T) {
 	hooked := 0
 	im.SetWriteHook(func(base uint64, old, new []byte) { hooked++ })
 
-	im.Reset()
-	if im.BlockWrites() != 0 || im.BytesWritten() != 0 {
-		t.Fatalf("counters after Reset: %d blocks, %d bytes", im.BlockWrites(), im.BytesWritten())
+	im.ResetPrefix(im.Size())
+	if im.BlockWrites() != 0 {
+		t.Fatalf("counter after Reset: %d blocks", im.BlockWrites())
 	}
 	if im.Poisoned(64) {
 		t.Fatal("poison survived Reset")
 	}
-	//eclint:allow directmem — verifying raw contents after reset
 	for i, b := range im.Bytes(0, im.Size()) {
 		if b != 0 {
 			t.Fatalf("byte %d = %#x after Reset, want 0", i, b)
@@ -34,11 +33,9 @@ func TestImageResetPrefix(t *testing.T) {
 	im.RawWrite(0, []byte{1})
 	im.RawWrite(200, []byte{2})
 	im.ResetPrefix(64)
-	//eclint:allow directmem — verifying raw contents after reset
 	if im.Bytes(0, 1)[0] != 0 {
 		t.Fatal("prefix byte not zeroed")
 	}
-	//eclint:allow directmem — verifying raw contents after reset
 	if im.Bytes(200, 1)[0] != 2 {
 		t.Fatal("byte past the prefix was zeroed")
 	}
@@ -46,12 +43,10 @@ func TestImageResetPrefix(t *testing.T) {
 	// The prefix rounds up to whole blocks; clamping past capacity is fine.
 	im.RawWrite(65, []byte{3})
 	im.ResetPrefix(1)
-	//eclint:allow directmem — verifying raw contents after reset
 	if im.Bytes(65, 1)[0] != 3 {
 		t.Fatal("ResetPrefix(1) crossed into the second block")
 	}
 	im.ResetPrefix(65)
-	//eclint:allow directmem — verifying raw contents after reset
 	if im.Bytes(65, 1)[0] != 0 {
 		t.Fatal("ResetPrefix(65) did not round up to the containing block")
 	}
@@ -59,9 +54,10 @@ func TestImageResetPrefix(t *testing.T) {
 }
 
 func TestSpaceReset(t *testing.T) {
-	s := NewSpace(1 << 12)
+	im := NewImage(1 << 12)
+	s := NewSpace(im)
 	o := s.AllocF64("x", 4, true)
-	s.Image().RawWrite(o.Addr, []byte{9})
+	im.RawWrite(o.Addr, []byte{9})
 
 	s.Reset()
 	if s.Extent() != 0 {
@@ -70,7 +66,7 @@ func TestSpaceReset(t *testing.T) {
 	if _, ok := s.Object("x"); ok {
 		t.Fatal("object registry survived Reset")
 	}
-	if len(s.Objects()) != 0 || len(s.Candidates()) != 0 {
+	if s.Footprint() != 0 || len(s.Candidates()) != 0 {
 		t.Fatal("object lists survived Reset")
 	}
 
@@ -79,8 +75,7 @@ func TestSpaceReset(t *testing.T) {
 	if o2.Addr != o.Addr {
 		t.Fatalf("realloc placed x at %#x, fresh space placed it at %#x", o2.Addr, o.Addr)
 	}
-	//eclint:allow directmem — verifying raw contents after reset
-	if s.Image().Bytes(o2.Addr, 1)[0] != 0 {
+	if im.Bytes(o2.Addr, 1)[0] != 0 {
 		t.Fatal("reallocated object sees stale contents")
 	}
 }

@@ -5,7 +5,8 @@
 // Everything that makes the output nondeterministic in general JSON —
 // map ordering, optional fields — is nailed down: encoding/json sorts map
 // keys, zero-valued optional fields are omitted, and trial order is campaign
-// order, so one campaign serializes to one byte sequence.
+// order, so one campaign serializes to one byte sequence. Floats are total:
+// see wireFloat.
 package nvct
 
 import (
@@ -13,9 +14,66 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"easycrash/internal/faultmodel"
 )
+
+// wireFloat is a float64 on the wire. A finite value encodes exactly as
+// encoding/json encodes a float64; NaN and ±Inf, which a JSON number cannot
+// carry (an S4 restart may well compute them), encode as a string holding
+// their IEEE-754 bits, so every bit pattern round-trips exactly.
+type wireFloat float64
+
+// MarshalJSON implements json.Marshaler.
+func (f wireFloat) MarshalJSON() ([]byte, error) {
+	v := float64(f)
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Appendf(nil, `"0x%016x"`, math.Float64bits(v)), nil
+	}
+	return json.Marshal(v)
+}
+
+// UnmarshalJSON implements json.Unmarshaler. A string must be exactly what
+// MarshalJSON writes for a non-finite value, so each float has one encoding.
+func (f *wireFloat) UnmarshalJSON(b []byte) error {
+	if len(b) == 0 || b[0] != '"' {
+		return json.Unmarshal(b, (*float64)(f))
+	}
+	var bits uint64
+	_, err := fmt.Sscanf(string(b), `"0x%x"`, &bits)
+	*f = wireFloat(math.Float64frombits(bits))
+	if enc, _ := f.MarshalJSON(); err != nil || !bytes.Equal(enc, b) {
+		return fmt.Errorf("nvct: bad non-finite float %s", b)
+	}
+	return nil
+}
+
+// floats converts a float slice between its in-memory and wire element
+// types, keeping nil nil.
+func floats[T, U ~float64](in []T) []U {
+	if in == nil {
+		return nil
+	}
+	out := make([]U, len(in))
+	for i, v := range in {
+		out[i] = U(v)
+	}
+	return out
+}
+
+// floatMap is floats for the per-object maps.
+func floatMap[T, U ~float64](in map[string]T) map[string]U {
+	if in == nil {
+		return nil
+	}
+	out := make(map[string]U, len(in))
+	//eclint:allow campaigndet — independent per-key map fill, order-insensitive
+	for k, v := range in {
+		out[k] = U(v)
+	}
+	return out
+}
 
 // reportJSON is the serialized form of a Report.
 type reportJSON struct {
@@ -46,8 +104,8 @@ type trialJSON struct {
 	CrashIter          int64                 `json:"crash_iter"`
 	Outcome            string                `json:"outcome"`
 	ExtraIters         int64                 `json:"extra_iters,omitempty"`
-	Inconsistency      map[string]float64    `json:"inconsistency,omitempty"`
-	FinalResult        []float64             `json:"final_result,omitempty"`
+	Inconsistency      map[string]wireFloat  `json:"inconsistency,omitempty"`
+	FinalResult        []wireFloat           `json:"final_result,omitempty"`
 	Media              *faultmodel.Injection `json:"media,omitempty"`
 	ScrubbedObjects    int                   `json:"scrubbed_objects,omitempty"`
 	Err                string                `json:"err,omitempty"`
@@ -55,7 +113,7 @@ type trialJSON struct {
 	Depth              int                   `json:"depth,omitempty"`
 	Retries            int                   `json:"retries,omitempty"`
 	Chain              []chainJSON           `json:"chain,omitempty"`
-	FinalInconsistency map[string]float64    `json:"final_inconsistency,omitempty"`
+	FinalInconsistency map[string]wireFloat  `json:"final_inconsistency,omitempty"`
 }
 
 // chainJSON is one crash of a nested-failure chain.
@@ -111,8 +169,8 @@ func toTrialJSON(index int, t TestResult) trialJSON {
 		CrashIter:       t.CrashIter,
 		Outcome:         t.Outcome.String(),
 		ExtraIters:      t.ExtraIters,
-		Inconsistency:   t.Inconsistency,
-		FinalResult:     t.FinalResult,
+		Inconsistency:   floatMap[float64, wireFloat](t.Inconsistency),
+		FinalResult:     floats[float64, wireFloat](t.FinalResult),
 		Media:           injectionJSON(t.Media),
 		ScrubbedObjects: t.ScrubbedObjects,
 		Err:             t.Err,
@@ -121,7 +179,7 @@ func toTrialJSON(index int, t TestResult) trialJSON {
 		Retries:         t.Retries,
 	}
 	if t.Depth > 0 {
-		tj.FinalInconsistency = t.FinalInconsistency
+		tj.FinalInconsistency = floatMap[float64, wireFloat](t.FinalInconsistency)
 		tj.Chain = make([]chainJSON, len(t.Chain))
 		for l, c := range t.Chain {
 			tj.Chain[l] = chainJSON{Access: c.Access, Region: c.Region, Iter: c.Iter, Media: injectionJSON(c.Media)}
@@ -131,10 +189,10 @@ func toTrialJSON(index int, t TestResult) trialJSON {
 }
 
 // fromTrialJSON deserializes one trial. The roundtrip through trialJSON is
-// lossless for every field the report digest folds: encoding/json round-trips
-// float64 exactly, and the omitted-when-empty fields decode to their Go zero
-// values (a nil map where a live trial carried an empty one is invisible to
-// both the digest and the stable serialization).
+// lossless for every field the report digest folds: wireFloat round-trips
+// every float64 bit pattern, and the omitted-when-empty fields decode to
+// their Go zero values (a nil map where a live trial carried an empty one is
+// invisible to both the digest and the stable serialization).
 func fromTrialJSON(tj trialJSON) (TestResult, error) {
 	out, err := parseOutcome(tj.Outcome)
 	if err != nil {
@@ -146,8 +204,8 @@ func fromTrialJSON(tj trialJSON) (TestResult, error) {
 		CrashIter:       tj.CrashIter,
 		Outcome:         out,
 		ExtraIters:      tj.ExtraIters,
-		Inconsistency:   tj.Inconsistency,
-		FinalResult:     tj.FinalResult,
+		Inconsistency:   floatMap[wireFloat, float64](tj.Inconsistency),
+		FinalResult:     floats[wireFloat, float64](tj.FinalResult),
 		ScrubbedObjects: tj.ScrubbedObjects,
 		Err:             tj.Err,
 		Violations:      tj.Violations,
@@ -158,7 +216,7 @@ func fromTrialJSON(tj trialJSON) (TestResult, error) {
 		t.Media = *tj.Media
 	}
 	if tj.Depth > 0 {
-		t.FinalInconsistency = tj.FinalInconsistency
+		t.FinalInconsistency = floatMap[wireFloat, float64](tj.FinalInconsistency)
 		t.Chain = make([]ChainCrash, len(tj.Chain))
 		for l, c := range tj.Chain {
 			t.Chain[l] = ChainCrash{Access: c.Access, Region: c.Region, Iter: c.Iter}

@@ -218,10 +218,7 @@ func (t *Tester) getMachine() *sim.Machine {
 func (t *Tester) putMachine(m *sim.Machine) { t.machines.Put(m) }
 
 // takeDump copies the machine's durable image prefix — everything the golden
-// run allocated — into a pooled buffer. It replaces the historical full-image
-// Snapshot per crash test (67 MB allocated per test on a 64 MiB image): the
-// restart phase reads the dump only inside registered objects, all of which
-// lie below the extent.
+// run allocated, hence every object a restart reads — into a pooled buffer.
 func (t *Tester) takeDump(m *sim.Machine) []byte {
 	var buf []byte
 	if v := t.dumps.Get(); v != nil {
@@ -231,8 +228,7 @@ func (t *Tester) takeDump(m *sim.Machine) []byte {
 		buf = make([]byte, t.extent)
 	}
 	buf = buf[:t.extent]
-	//eclint:allow directmem — postmortem dump of the durable image after the crash
-	copy(buf, m.Image().Bytes(0, t.extent))
+	m.DurableCopy(buf)
 	return buf
 }
 
@@ -286,7 +282,7 @@ func (t *Tester) undisturbed(what string, flushTicks bool, makePersister func(*s
 	k.Init(m)
 	m.SetFlushCrashEligible(flushTicks)
 	m.SetPersister(makePersister(m, k))
-	m.Image().ResetWriteCounters()
+	writesBefore := m.NVMWrites()
 	executed, err := k.Run(m, 0, iterBudget(k.NominalIters()))
 	m.RunReturned(err)
 	if err != nil {
@@ -303,7 +299,7 @@ func (t *Tester) undisturbed(what string, flushTicks bool, makePersister func(*s
 		Result:         res,
 		CacheStats:     m.Hierarchy().Stats(),
 		PersistStats:   m.PersistStats(),
-		NVMWrites:      m.Image().BlockWrites(),
+		NVMWrites:      m.NVMWrites() - writesBefore,
 		Footprint:      m.Space().Footprint(),
 		CandidateBytes: m.Space().CandidateFootprint(),
 		Candidates:     m.Space().Candidates(),

@@ -57,7 +57,7 @@ func (t *Tester) postmortem(m *sim.Machine, verified bool, crash func() faultmod
 			// The image's detected-uncorrectable blocks, as the lookup the
 			// restart path probes objects against.
 			pl.poison = make(map[uint64]struct{}, pl.media.PoisonedBlocks)
-			for _, b := range m.Image().PoisonedBlocks() {
+			for _, b := range m.PoisonedBlocks() {
 				pl.poison[b] = struct{}{}
 			}
 		}

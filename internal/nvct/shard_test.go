@@ -1,7 +1,9 @@
 package nvct_test
 
 import (
+	"bytes"
 	"context"
+	"math"
 	"reflect"
 	"testing"
 
@@ -129,6 +131,65 @@ func TestShardJSONRoundtrip(t *testing.T) {
 	}
 	if string(j1) != string(j2) {
 		t.Errorf("JSON roundtrip changed the merged report serialization")
+	}
+}
+
+// TestNonFiniteResultsCrossTheWire: S4 restarts of cg and botsspar compute
+// NaN final results (cg's trial 66 at seed 1; every botsspar trial). The
+// report JSON and the shard files carry them bit-exactly, so a shard that
+// went through its wire format, and an in-process 2-shard merge, both
+// reproduce the single-process digest and report bytes.
+func TestNonFiniteResultsCrossTheWire(t *testing.T) {
+	for _, tc := range []struct {
+		kernel string
+		tests  int
+	}{{"cg", 100}, {"botsspar", 10}} {
+		t.Run(tc.kernel, func(t *testing.T) {
+			opts := nvct.CampaignOpts{Tests: tc.tests, Seed: 1, Parallel: 2}
+			live := tester(t, tc.kernel).RunCampaign(nil, opts)
+			nonFinite := false
+			for _, tr := range live.Tests {
+				for _, v := range tr.FinalResult {
+					nonFinite = nonFinite || math.IsNaN(v) || math.IsInf(v, 0)
+				}
+			}
+			if !nonFinite {
+				t.Fatal("premise broken: no trial computed a non-finite result")
+			}
+			want, err := live.JSON()
+			if err != nil {
+				t.Fatalf("single-process report JSON: %v", err)
+			}
+
+			sr, err := tester(t, tc.kernel).RunShardContext(context.Background(), nil, opts, nvct.Shard{Index: 0, Count: 1}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := sr.JSON()
+			if err != nil {
+				t.Fatalf("shard JSON: %v", err)
+			}
+			back, err := nvct.ParseShardReport(b)
+			if err != nil {
+				t.Fatalf("shard parse: %v", err)
+			}
+			decoded, err := nvct.MergeShards(nil, []*nvct.ShardReport{back})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			for path, rep := range map[string]*nvct.Report{
+				"JSON round-trip": decoded,
+				"2-shard merge":   runSharded(t, tc.kernel, nil, opts, 2),
+			} {
+				if got := reportDigest(rep); got != reportDigest(live) {
+					t.Errorf("%s: digest %s, want single-process %s", path, got, reportDigest(live))
+				}
+				if got, err := rep.JSON(); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("%s: report JSON differs from the single-process report (err %v)", path, err)
+				}
+			}
+		})
 	}
 }
 

@@ -94,8 +94,7 @@ func (r *campaignRun) forkPostmortem(fp forkPoint, inj *faultmodel.Injector) pow
 	var replay func() faultmodel.Injection
 	if inj != nil {
 		replay = func() faultmodel.Injection {
-			m.CrashNow()
-			return inj.ReplayCrash(m.Image(), t.extent, fp.inflight)
+			return m.ReplayCrash(inj, t.extent, fp.inflight)
 		}
 	}
 	pl := t.postmortem(m, r.opts.Verified, replay)

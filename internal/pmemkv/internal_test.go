@@ -1,17 +1,29 @@
 package pmemkv
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"easycrash/internal/apps"
 	"easycrash/internal/cachesim"
+	"easycrash/internal/faultmodel"
+	"easycrash/internal/mem"
 	"easycrash/internal/sim"
 )
 
 func testMachine(t testing.TB) *sim.Machine {
 	t.Helper()
 	return sim.NewMachine(64<<20, cachesim.TestConfig())
+}
+
+// damage rewrites the durable word at addr with f(old), the way in-place
+// media corruption would leave it after power loss: through the cache,
+// written back, then the caches dropped.
+func damage(m *sim.Machine, addr uint64, f func(int64) int64) {
+	m.StoreI64(addr, f(m.LoadI64(addr)))
+	m.FlushRange(addr, 8, cachesim.CLWB)
+	m.CrashNow()
 }
 
 // runIters runs the first n iterations and fails the test on any error.
@@ -60,8 +72,7 @@ func TestDurableHeadCoversEveryAck(t *testing.T) {
 			_, _ = s.Run(m, 0, s.nit)
 		}()
 		m.CrashNow()
-		//eclint:allow directmem — reading raw media to check the durable commit mark, not simulating an access
-		h := m.Image().Int64At(s.head.Addr)
+		h := m.I64(s.head).At(0) // the caches are empty: this reads the media
 		if h < s.acked || h > s.acked+1 {
 			t.Fatalf("crashAt %d: durable head %d outside [acked, acked+1] = [%d, %d]",
 				crashAt, h, s.acked, s.acked+1)
@@ -77,8 +88,13 @@ func TestReplayDetectsPoisonedWAL(t *testing.T) {
 	s.Setup(m)
 	s.Init(m)
 	runIters(t, s, m, 3)
-	m.CrashNow()
-	m.Image().PoisonBlock(s.wal.Addr)
+	// Power loss under an ECC that detects every error it cannot correct,
+	// with bit errors drawn over [0, end of the WAL's first block).
+	ecc := faultmodel.ECC{DetectBits: mem.BlockSize * 8}
+	m.ReplayCrash(faultmodel.New(faultmodel.Config{RBER: 0.1, ECC: ecc}, 1), s.wal.Addr+mem.BlockSize, nil)
+	if !slices.Contains(m.PoisonedBlocks(), s.wal.Addr) {
+		t.Fatalf("poisoned blocks %v miss the WAL's first block %#x", m.PoisonedBlocks(), s.wal.Addr)
+	}
 	s.PostRestart(m, 3)
 	if s.recoveryErr == nil {
 		t.Fatal("replay over a poisoned WAL block reported no error")
@@ -103,9 +119,7 @@ func TestReplayDetectsCorruptRecord(t *testing.T) {
 	s.Init(m)
 	runIters(t, s, m, 3)
 	m.CrashNow()
-	base := s.wal.Addr + 5*recBytes
-	//eclint:allow directmem — flipping a checksum bit on raw media to model in-place corruption
-	m.Image().SetInt64At(base+24, m.Image().Int64At(base+24)^1)
+	damage(m, s.wal.Addr+5*recBytes+24, func(v int64) int64 { return v ^ 1 }) // flip a checksum bit
 	s.PostRestart(m, 3)
 	if s.recoveryErr == nil || !strings.Contains(s.recoveryErr.Error(), "corrupt") {
 		t.Fatalf("corrupt record not detected: err = %v", s.recoveryErr)
@@ -119,8 +133,7 @@ func TestReplayDetectsCorruptCommitMark(t *testing.T) {
 	s.Init(m)
 	runIters(t, s, m, 3)
 	m.CrashNow()
-	//eclint:allow directmem — damaging the commit-mark checksum on raw media
-	m.Image().SetInt64At(s.head.Addr+8, m.Image().Int64At(s.head.Addr+8)^1)
+	damage(m, s.head.Addr+8, func(v int64) int64 { return v ^ 1 })
 	s.PostRestart(m, 3)
 	if s.recoveryErr == nil || !strings.Contains(s.recoveryErr.Error(), "commit mark") {
 		t.Fatalf("corrupt commit mark not detected: err = %v", s.recoveryErr)
@@ -138,8 +151,7 @@ func TestReplayTruncatesAtHole(t *testing.T) {
 	m.CrashNow()
 	base := s.wal.Addr + 7*recBytes
 	for off := uint64(0); off < recBytes; off += 8 {
-		//eclint:allow directmem — zeroing a record on raw media to model a write that never reached it
-		m.Image().SetInt64At(base+off, 0)
+		damage(m, base+off, func(int64) int64 { return 0 }) // the record never reached the media
 	}
 	s.PostRestart(m, 3)
 	if s.recoveryErr != nil {

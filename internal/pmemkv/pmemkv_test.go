@@ -118,7 +118,9 @@ func recoverStore(t *testing.T, mk func() *pmemkv.Store, img []byte, from int64)
 
 func crashDump(m *sim.Machine) []byte {
 	m.CrashNow()
-	return append([]byte(nil), m.Image().Bytes(0, m.Space().Extent())...)
+	dump := make([]byte, m.Space().Extent())
+	m.DurableCopy(dump)
+	return dump
 }
 
 func TestCorrectStoreSurvivesCrash(t *testing.T) {

@@ -6,9 +6,9 @@ import (
 
 	"easycrash/internal/apps"
 	"easycrash/internal/cachesim"
+	"easycrash/internal/core"
 	"easycrash/internal/nvct"
 	"easycrash/internal/predict"
-	"easycrash/internal/stats"
 )
 
 func characterize(t *testing.T, name string) predict.Features {
@@ -151,7 +151,7 @@ func TestLeaveOneOutRankCorrelation(t *testing.T) {
 	for i := range names {
 		inSample[i] = full.Predict(feats[i])
 	}
-	c, err := stats.Spearman(inSample, measured)
+	c, err := core.Spearman(inSample, measured)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestLeaveOneOutRankCorrelation(t *testing.T) {
 		}
 		predicted[i] = m.Predict(feats[i])
 	}
-	if c, err := stats.Spearman(predicted, measured); err == nil {
+	if c, err := core.Spearman(predicted, measured); err == nil {
 		t.Logf("leave-one-out: predicted vs measured Spearman Rs = %.3f (p = %.3g)", c.Rs, c.P)
 	}
 }

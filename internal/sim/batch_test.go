@@ -105,12 +105,12 @@ func runBatchToCrash(m *Machine, o batchObjs, crashAt uint64) (c *Crash) {
 func compareImages(t *testing.T, label string, scalar, batched *Machine) {
 	t.Helper()
 	extent := scalar.Space().Extent()
-	if !bytes.Equal(scalar.Image().Bytes(0, extent), batched.Image().Bytes(0, extent)) {
+	if !bytes.Equal(scalar.img.Bytes(0, extent), batched.img.Bytes(0, extent)) {
 		t.Fatalf("%s: durable images diverged between scalar and batched runs", label)
 	}
-	if !reflect.DeepEqual(scalar.Image().PoisonedBlocks(), batched.Image().PoisonedBlocks()) {
+	if !reflect.DeepEqual(scalar.img.PoisonedBlocks(), batched.img.PoisonedBlocks()) {
 		t.Fatalf("%s: poison sets diverged:\nscalar  %v\nbatched %v",
-			label, scalar.Image().PoisonedBlocks(), batched.Image().PoisonedBlocks())
+			label, scalar.img.PoisonedBlocks(), batched.img.PoisonedBlocks())
 	}
 }
 

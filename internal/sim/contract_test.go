@@ -1,10 +1,14 @@
 package sim
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
 	"testing"
+
+	"easycrash/internal/faultmodel"
+	"easycrash/internal/mem"
 )
 
 // recoverAny runs fn and returns its panic value, nil if it returned.
@@ -154,5 +158,97 @@ func TestResumeMidRegionContinuesLegally(t *testing.T) {
 		r.MainLoopEnd()
 	}); got != "" {
 		t.Fatalf("resumed machine could not close its open markers: %s", got)
+	}
+}
+
+// DurableCopy reads durable bytes only where they are the architectural
+// state: after a cache drop with no access since. Reset and ResumeFrom
+// forget the drop; the cases that use them start from a machine whose clock
+// is where the drop left it, so only that rule can make them panic.
+func TestDurableCopyContract(t *testing.T) {
+	// dirtied returns a machine holding dirty stores to an object.
+	dirtied := func(t *testing.T) (*Machine, mem.Object) {
+		m := newM(t)
+		o := m.Space().AllocF64("x", 32, true)
+		m.MainLoopBegin()
+		for i := 0; i < 32; i++ {
+			m.F64(o).Set(i, float64(i+1))
+		}
+		m.MainLoopEnd()
+		return m, o
+	}
+	cases := []struct {
+		name string
+		run  func(t *testing.T) *Machine // returns the machine to copy from
+		ok   bool
+	}{
+		{"after CrashNow", func(t *testing.T) *Machine {
+			m, _ := dirtied(t)
+			m.CrashNow()
+			return m
+		}, true},
+		{"after CrashWithFaults", func(t *testing.T) *Machine {
+			m, _ := dirtied(t)
+			m.AttachFaults(faultmodel.New(faultmodel.Config{RBER: 1e-3}, 1))
+			m.CrashWithFaults()
+			return m
+		}, true},
+		{"after ReplayCrash", func(t *testing.T) *Machine {
+			m, _ := dirtied(t)
+			b := newM(t)
+			b.ResumeFrom(m.Fork())
+			b.ReplayCrash(faultmodel.New(faultmodel.Config{RBER: 1e-3}, 1), m.Space().Extent(), nil)
+			return b
+		}, true},
+		{"without a drop", func(t *testing.T) *Machine {
+			m, _ := dirtied(t)
+			return m
+		}, false},
+		{"after a load", func(t *testing.T) *Machine {
+			m, o := dirtied(t)
+			m.CrashNow()
+			m.F64(o).At(0)
+			return m
+		}, false},
+		{"after an Init-phase store", func(t *testing.T) *Machine {
+			m, o := dirtied(t)
+			m.CrashNow()
+			m.F64(o).Set(0, 7) // outside the main loop: ticks no crash clock
+			return m
+		}, false},
+		{"after RestoreObject", func(t *testing.T) *Machine {
+			m, o := dirtied(t)
+			m.CrashNow()
+			m.RestoreObject(o, make([]byte, o.Size))
+			return m
+		}, false},
+		{"after ResumeFrom", func(t *testing.T) *Machine {
+			snap := newM(t).Fork() // clock 0, like the drop below
+			m := newM(t)
+			m.CrashNow()
+			m.ResumeFrom(snap)
+			return m
+		}, false},
+		{"after Reset", func(t *testing.T) *Machine {
+			m := newM(t)
+			m.CrashNow() // clock 0, where Reset leaves it
+			m.Reset()
+			return m
+		}, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := c.run(t)
+			dst := make([]byte, 32*8)
+			got := panicText(func() { m.DurableCopy(dst) })
+			switch {
+			case c.ok && got != "":
+				t.Fatalf("DurableCopy panicked: %s", got)
+			case c.ok && !bytes.Equal(dst, m.img.Bytes(0, uint64(len(dst)))):
+				t.Fatal("DurableCopy differs from the durable image")
+			case !c.ok && !strings.Contains(got, "DurableCopy outside a power loss"):
+				t.Fatalf("DurableCopy did not panic with the contract message: %q", got)
+			}
+		})
 	}
 }

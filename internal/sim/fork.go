@@ -29,9 +29,6 @@ type Snapshot struct {
 	persist      PersistStats
 }
 
-// Image returns the forked durable image.
-func (s *Snapshot) Image() *mem.ImageSnapshot { return s.img }
-
 // ForkHook is invoked by the crash clock in place of the crash panic: the
 // armed point has been reached (c carries what the Crash panic would have),
 // the hook captures whatever it needs — typically via Fork — and returns the
@@ -57,7 +54,7 @@ func (m *Machine) Fork() *Snapshot {
 		panic("sim: Fork with a fault injector attached (prefix sharing requires inert media)")
 	}
 	return &Snapshot{
-		img:          m.space.Image().Fork(m.space.Extent()),
+		img:          m.img.Fork(m.space.Extent()),
 		hier:         m.hier.Snapshot(),
 		inMainLoop:   m.inMainLoop,
 		mainAccess:   m.mainAccess,
@@ -77,8 +74,9 @@ func (m *Machine) Fork() *Snapshot {
 // image extent so a later Reset clears it even though the recycled machine's
 // own space never allocated anything.
 func (m *Machine) ResumeFrom(s *Snapshot) {
-	m.space.Image().RestoreSnapshot(s.img)
+	m.img.RestoreSnapshot(s.img)
 	m.hier.ResumeFrom(s.hier)
+	m.dropClock = 0
 	m.inMainLoop = s.inMainLoop
 	m.setClock(s.mainAccess)
 	m.crashAt = 0

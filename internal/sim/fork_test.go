@@ -95,7 +95,7 @@ func postmortem(m *Machine, c Crash) crashState {
 		rateS:   m.InconsistencyRate(s),
 	}
 	m.CrashNow()
-	st.image = append([]byte(nil), m.Image().Bytes(0, m.Space().Extent())...)
+	st.image = append([]byte(nil), m.img.Bytes(0, m.Space().Extent())...)
 	return st
 }
 
@@ -112,7 +112,7 @@ func forkedPostmortem(dst *Machine, snap *Snapshot, c Crash, a, s mem.Object) cr
 		rateS:   dst.InconsistencyRate(s),
 	}
 	dst.CrashNow()
-	st.image = append([]byte(nil), dst.Image().Bytes(0, snap.Image().Extent())...)
+	st.image = append([]byte(nil), dst.img.Bytes(0, snap.img.Extent())...)
 	return st
 }
 
@@ -244,7 +244,7 @@ func TestResetClearsForkMachinery(t *testing.T) {
 	}
 	// The restored image prefix must be cleared even though this machine's
 	// own space allocated nothing.
-	for _, b := range m.Image().Bytes(0, snap.Image().Extent()) {
+	for _, b := range m.img.Bytes(0, snap.img.Extent()) {
 		if b != 0 {
 			t.Fatal("Reset left restored image bytes behind")
 		}

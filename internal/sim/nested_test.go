@@ -57,7 +57,7 @@ func TestRearmCrashCountsFromRecoveryStart(t *testing.T) {
 	// Power loss, then a restart-phase restore outside the main loop: none
 	// of this may tick the crash clock.
 	m.CrashNow()
-	dump := m.Image().Snapshot()
+	dump := durable(m)
 	m.RestoreObject(o.Object(), dump[o.Object().Addr:o.Object().End()])
 
 	m.RearmCrash(20)
@@ -102,7 +102,7 @@ func TestRearmCrashResyncsInFlightWindow(t *testing.T) {
 	// Restart phase: flush the restored object so media writes land after
 	// the crash, then re-arm. Those writes are not in flight at the first
 	// recovery access, so a tear must not be armed for them.
-	dump := m.Image().Snapshot()
+	dump := durable(m)
 	m.RestoreObject(o, dump[o.Addr:o.End()])
 	m.FlushObject(o, cachesim.CLWB)
 	before := inj.WriteSeq()

@@ -132,19 +132,17 @@ func TestReplayCrashMatchesLiveInjection(t *testing.T) {
 		// Branch: resume the fork, lose power, replay the trial's draws.
 		branch := NewMachine(1<<20, cachesim.TestConfig())
 		branch.ResumeFrom(snap)
-		branch.CrashNow()
-		injReplay := faultmodel.New(cfg, seed)
-		repReplay := injReplay.ReplayCrash(branch.Image(), extent, inflight)
+		repReplay := branch.ReplayCrash(faultmodel.New(cfg, seed), extent, inflight)
 
 		if repLive != repReplay {
 			t.Fatalf("crash %d: injection reports diverged:\nlive   %+v\nreplay %+v", crashAt, repLive, repReplay)
 		}
-		if !bytes.Equal(live.Image().Bytes(0, extent), branch.Image().Bytes(0, extent)) {
+		if !bytes.Equal(live.img.Bytes(0, extent), branch.img.Bytes(0, extent)) {
 			t.Fatalf("crash %d: durable images diverged between live injection and replay", crashAt)
 		}
-		if !reflect.DeepEqual(live.Image().PoisonedBlocks(), branch.Image().PoisonedBlocks()) {
+		if !reflect.DeepEqual(live.img.PoisonedBlocks(), branch.img.PoisonedBlocks()) {
 			t.Fatalf("crash %d: poison sets diverged:\nlive   %v\nreplay %v",
-				crashAt, live.Image().PoisonedBlocks(), branch.Image().PoisonedBlocks())
+				crashAt, live.img.PoisonedBlocks(), branch.img.PoisonedBlocks())
 		}
 	}
 	if !sawInflight {

@@ -39,7 +39,7 @@ func (c *nopObserver) Access(addr uint64, size int, store bool) { c.n++ }
 func TestMachineResetMatchesFresh(t *testing.T) {
 	run := func(m *Machine) (uint64, int64, cachesim.Stats, PersistStats, []byte) {
 		resetWorkload(m)
-		return m.MainAccesses(), m.Iterations(), m.Hierarchy().Stats(), m.PersistStats(), m.Image().Snapshot()
+		return m.MainAccesses(), m.Iterations(), m.Hierarchy().Stats(), m.PersistStats(), durable(m)
 	}
 
 	fresh := newM(t)
@@ -88,7 +88,7 @@ func TestMachineResetMatchesFresh(t *testing.T) {
 func TestMachineResetClearsNestedMachinery(t *testing.T) {
 	run := func(m *Machine) (uint64, cachesim.Stats, []byte) {
 		resetWorkload(m)
-		return m.MainAccesses(), m.Hierarchy().Stats(), m.Image().Snapshot()
+		return m.MainAccesses(), m.Hierarchy().Stats(), durable(m)
 	}
 
 	fresh := newM(t)
@@ -113,8 +113,8 @@ func TestMachineResetClearsNestedMachinery(t *testing.T) {
 	}()
 	m.CrashWithFaults()
 	o := m.Space().MustObject("x")
-	dump := m.Image().Snapshot()
-	m.Image().Restore(dump)
+	dump := durable(m)
+	m.img.RestoreSnapshot(m.img.Fork(m.img.Size()))
 	m.RestoreObject(o, dump[o.Addr:o.End()])
 	m.RearmCrash(5)
 	func() {
@@ -158,7 +158,7 @@ func TestInconsistencyRateSurvivesPoisonedBacking(t *testing.T) {
 	m.MainLoopBegin()
 	m.F64(o).Set(0, 1.5)
 	m.MainLoopEnd()
-	m.Image().PoisonBlock(o.Addr)
+	m.img.PoisonBlock(o.Addr)
 	if r := m.InconsistencyRate(o); r != 1 {
 		t.Fatalf("InconsistencyRate over poisoned dirty block = %v, want 1", r)
 	}

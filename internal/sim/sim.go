@@ -75,10 +75,18 @@ type Persister interface {
 }
 
 // Machine is one simulated node: an object space in NVM behind a cache
-// hierarchy, plus the instrumentation the crash tester needs.
+// hierarchy, plus the instrumentation the crash tester needs. It owns the NVM
+// image and hands out no reference to it: kernels reach memory only through
+// the cache, and the crash tester reads durable state only via DurableCopy.
 type Machine struct {
+	img   *mem.Image
 	space *mem.Space
 	hier  *cachesim.Hierarchy
+
+	// dropClock is the hierarchy's recency clock + 1 at the last cache drop,
+	// or 0 if none since Reset or ResumeFrom: every access advances that
+	// clock, so DurableCopy's contract costs the access path nothing.
+	dropClock uint64
 
 	inMainLoop bool
 	mainAccess uint64 // demand accesses issued inside the main loop
@@ -162,10 +170,11 @@ type PersistStats struct {
 // NewMachine builds a machine over a fresh object space of the given NVM
 // capacity, with the given cache configuration.
 func NewMachine(nvmBytes uint64, cfg cachesim.Config) *Machine {
-	space := mem.NewSpace(nvmBytes)
+	img := mem.NewImage(nvmBytes)
 	m := &Machine{
-		space: space,
-		hier:  cachesim.New(cfg, space.Image()),
+		img:   img,
+		space: mem.NewSpace(img),
+		hier:  cachesim.New(cfg, img),
 	}
 	m.arm()
 	return m
@@ -197,20 +206,18 @@ func (m *Machine) Reset() {
 	m.intrFn, m.intrEvery, m.intrAt = nil, 0, 0
 	m.forkFn = nil
 	m.scalarAccess = false
+	m.dropClock = 0
 	m.arm()
 	if m.resumeExtent != 0 {
 		// A resumed machine carries restored image bytes beyond its own
 		// space's (empty) allocation extent; clear them too.
-		m.space.Image().ResetPrefix(m.resumeExtent)
+		m.img.ResetPrefix(m.resumeExtent)
 		m.resumeExtent = 0
 	}
 }
 
 // Space returns the machine's object space.
 func (m *Machine) Space() *mem.Space { return m.space }
-
-// Image returns the machine's durable NVM image.
-func (m *Machine) Image() *mem.Image { return m.space.Image() }
 
 // Hierarchy returns the machine's cache hierarchy.
 func (m *Machine) Hierarchy() *cachesim.Hierarchy { return m.hier }
@@ -238,10 +245,10 @@ func (m *Machine) AttachFaults(in *faultmodel.Injector) {
 	m.faults = in
 	m.arm()
 	if in == nil {
-		m.space.Image().SetWriteHook(nil)
+		m.img.SetWriteHook(nil)
 		return
 	}
-	m.space.Image().SetWriteHook(in.ObserveWrite)
+	m.img.SetWriteHook(in.ObserveWrite)
 	m.lastWriteSeq = in.WriteSeq()
 }
 
@@ -258,10 +265,10 @@ func (m *Machine) AttachRecorder(r *faultmodel.Recorder) {
 	m.recorder = r
 	m.arm()
 	if r == nil {
-		m.space.Image().SetWriteHook(nil)
+		m.img.SetWriteHook(nil)
 		return
 	}
-	m.space.Image().SetWriteHook(r.ObserveWrite)
+	m.img.SetWriteHook(r.ObserveWrite)
 	m.lastWriteSeq = r.WriteSeq()
 }
 
@@ -293,11 +300,11 @@ func (m *Machine) SetInterrupt(every uint64, fn func() error) {
 // applies raw bit errors filtered through ECC. With no injector attached it
 // is exactly CrashNow.
 func (m *Machine) CrashWithFaults() faultmodel.Injection {
-	m.hier.DropAll()
+	m.CrashNow()
 	if m.faults == nil {
 		return faultmodel.Injection{}
 	}
-	return m.faults.ApplyCrash(m.space.Image(), m.space.Extent())
+	return m.faults.ApplyCrash(m.img, m.space.Extent())
 }
 
 // SetCrashAfter arms a crash to fire when the n-th demand access inside the
@@ -730,9 +737,40 @@ func (m *Machine) InconsistencyRate(o mem.Object) float64 {
 	return float64(m.hier.DirtyBytesIn(o.Addr, o.Size)) / float64(o.Size)
 }
 
-// Crash simulates the machine losing power: all volatile cache contents are
-// discarded. The NVM image retains only data that had been written back.
-func (m *Machine) CrashNow() { m.hier.DropAll() }
+// CrashNow simulates the machine losing power: all volatile cache contents
+// are discarded. The NVM image retains only data that had been written back.
+func (m *Machine) CrashNow() {
+	m.hier.DropAll()
+	m.dropClock = m.hier.Clock() + 1
+}
+
+// ReplayCrash is CrashWithFaults for a machine resumed from a fork: it drops
+// the caches, then has inj replay the injections the trial's live power loss
+// would have drawn over [0, extent), tearing inflight if non-nil. The extent
+// is explicit because a resumed machine's own space allocated nothing.
+func (m *Machine) ReplayCrash(inj *faultmodel.Injector, extent uint64, inflight *faultmodel.InFlight) faultmodel.Injection {
+	m.CrashNow()
+	return inj.ReplayCrash(m.img, extent, inflight)
+}
+
+// DurableCopy copies the durable image prefix [0, len(dst)) into dst: the
+// post-crash dump a restart reads. It panics unless the caches were dropped
+// (CrashNow, CrashWithFaults, ReplayCrash) and no simulated access ran since,
+// the one state in which the durable bytes are the architectural ones, so no
+// caller can read a value the cache model has not made durable.
+func (m *Machine) DurableCopy(dst []byte) {
+	if m.dropClock == 0 || m.dropClock-1 != m.hier.Clock() {
+		panic("sim: DurableCopy outside a power loss: the caches were not dropped, or an access ran since")
+	}
+	copy(dst, m.img.Bytes(0, uint64(len(dst))))
+}
+
+// PoisonedBlocks returns the image's detected-uncorrectable block base
+// addresses in ascending order.
+func (m *Machine) PoisonedBlocks() []uint64 { return m.img.PoisonedBlocks() }
+
+// NVMWrites returns the number of cache-block writes the image has absorbed.
+func (m *Machine) NVMWrites() uint64 { return m.img.BlockWrites() }
 
 // RestoreObject stores data over the object through the cache in block-sized
 // chunks — the restart-time load_value of the paper's Figure 2(b), copying a

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"easycrash/internal/cachesim"
@@ -10,6 +13,15 @@ import (
 func newM(t testing.TB) *Machine {
 	t.Helper()
 	return NewMachine(1<<20, cachesim.TestConfig())
+}
+
+// durable copies the machine's whole durable image, bypassing DurableCopy's
+// power-loss contract: tests compare images at any instant.
+func durable(m *Machine) []byte { return bytes.Clone(m.img.Bytes(0, m.img.Size())) }
+
+// durableF64 reads the durable float64 at addr, beneath the caches.
+func durableF64(m *Machine, addr uint64) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(m.img.Bytes(addr, 8)))
 }
 
 func TestTypedAccessRoundTrip(t *testing.T) {
@@ -105,7 +117,7 @@ func TestCrashNowDiscardsVolatileState(t *testing.T) {
 	v := m.F64(o)
 	v.Set(0, 9.5)
 	m.CrashNow()
-	if got := m.Image().Float64At(o.Addr); got == 9.5 {
+	if got := durableF64(m, o.Addr); got == 9.5 {
 		t.Fatal("dirty store survived crash")
 	}
 	if got := v.At(0); got != 0 {
@@ -153,7 +165,7 @@ func TestFlushObjectsCountsOneOperation(t *testing.T) {
 		t.Fatal("flush accounting identity violated")
 	}
 	// Everything was dirty or evicted-then-clean; persisted values visible.
-	if m.Image().Float64At(a.Addr) != 1 {
+	if durableF64(m, a.Addr) != 1 {
 		t.Fatal("flush did not persist a[0]")
 	}
 }
